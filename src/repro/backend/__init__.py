@@ -39,7 +39,6 @@ shift underneath an environment variable.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.backend.base import (
@@ -48,6 +47,7 @@ from repro.backend.base import (
     TransferStats,
 )
 from repro.backend.numpy_backend import NumpyBackend
+from repro.utils.validation import check_choice, env_knob
 
 __all__ = [
     "ArrayBackend",
@@ -202,18 +202,13 @@ def default_backend(dtype: Optional[str] = None) -> ArrayBackend:
     naming an uninstalled backend raises :class:`BackendUnavailableError`
     — loudly, so a mis-configured environment cannot silently run on CPU.
     """
-    spec = os.environ.get(BACKEND_ENV_VAR, "").strip()
-    if dtype is None:
-        env_dtype = os.environ.get(DTYPE_ENV_VAR, "").strip().lower()
-        if env_dtype:
-            if env_dtype not in DTYPE_NAMES:
-                known = ", ".join(DTYPE_NAMES)
-                raise ValueError(
-                    f"{DTYPE_ENV_VAR} must be one of {known}; got "
-                    f"{env_dtype!r}"
-                )
-            dtype = env_dtype
-    return resolve_backend(spec or None, dtype=dtype)
+    spec = env_knob(None, BACKEND_ENV_VAR, str, None)
+    # only an env dtype is validated here; an explicit one reaches
+    # resolve_backend unchanged, where a spec suffix may override it
+    dtype = env_knob(dtype, DTYPE_ENV_VAR,
+                     lambda s: check_choice(s, DTYPE_NAMES, name="dtype"),
+                     None)
+    return resolve_backend(spec, dtype=dtype)
 
 
 def available_backends() -> List[str]:

@@ -48,12 +48,13 @@ sits on a given machine.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
+
+from repro.utils.validation import check_at_least, check_choice, env_knob
 
 __all__ = [
     "FILTER_IMPL_ENV_VAR",
@@ -146,32 +147,15 @@ def resolve_filter_impl(env: Optional[str] = None) -> str:
     validates it against :data:`FILTER_IMPLS` — an unknown value raises
     rather than silently running the wrong kernel.
     """
-    value = os.environ.get(FILTER_IMPL_ENV_VAR, "") if env is None else env
-    value = value.strip().lower() or "auto"
-    if value not in FILTER_IMPLS:
-        known = ", ".join(FILTER_IMPLS)
-        raise ValueError(
-            f"{FILTER_IMPL_ENV_VAR} must be one of {known}; got {value!r}"
-        )
-    return value
+    return env_knob(env, FILTER_IMPL_ENV_VAR, str, "auto",
+                    lambda v: check_choice(v.strip() or "auto", FILTER_IMPLS,
+                                           name="filter impl"))
 
 
 def scan_crossover() -> int:
     """Chain length where ``auto`` switches to the scan kernel."""
-    raw = os.environ.get(SCAN_CROSSOVER_ENV_VAR, "").strip()
-    if not raw:
-        return DEFAULT_SCAN_CROSSOVER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SCAN_CROSSOVER_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"{SCAN_CROSSOVER_ENV_VAR} must be >= 1, got {value}"
-        )
-    return value
+    return env_knob(None, SCAN_CROSSOVER_ENV_VAR, int, DEFAULT_SCAN_CROSSOVER,
+                    lambda n: check_at_least(n, 1, name="scan crossover"))
 
 
 def use_scan(n: int) -> bool:

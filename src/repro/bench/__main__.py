@@ -179,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--streams (one full-width sweep per round of arrivals)",
     )
     p.add_argument(
-        "--max-wait-ms", type=float, default=None,
-        help="continuous-batching deferral budget for partial batches. "
-             "Default: the REPRO_SERVE_MAX_WAIT_MS environment variable, "
-             "else 0 (never defer)",
-    )
-    p.add_argument(
         "--deadline-ms", type=float, default=10.0,
         help="per-chunk deadline budget for the paced deadline legs "
              "(sync tick-on-submit vs async background loop)",
@@ -334,7 +328,6 @@ def main(argv=None) -> int:
             n_nodes=args.n_nodes,
             n_models=args.models,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             deadline_ms=args.deadline_ms,
             slack_margin_ms=args.slack_margin_ms,
             deadline_rate_hz=args.deadline_rate_hz,

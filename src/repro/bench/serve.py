@@ -114,7 +114,6 @@ def run_serve_bench(
     n_nodes: int = 30,
     n_models: int = 1,
     max_batch: Optional[int] = None,
-    max_wait_ms: Optional[float] = None,
     deadline_ms: float = 10.0,
     slack_margin_ms: float = 5.0,
     deadline_rate_hz: float = 4.0,
@@ -160,8 +159,7 @@ def run_serve_bench(
     )
 
     def run_once(mb: int) -> ReplayReport:
-        engine = ServeEngine(max_batch=mb, max_wait_ms=max_wait_ms,
-                             backend=backend, dtype=dtype)
+        engine = ServeEngine(max_batch=mb, backend=backend, dtype=dtype)
         for model in models:
             engine.deploy(model)
         return replay(engine, trace)
@@ -238,7 +236,6 @@ def run_serve_bench(
         "n_nodes": n_nodes,
         "n_models": n_models,
         "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
         "deadline_ms": deadline_ms,
         "slack_margin_ms": slack_margin_ms,
         "deadline_rate_hz": float(deadline_rate_hz),

@@ -115,8 +115,8 @@ class GridSearchOutcome:
     total_compute_seconds: float = 0.0
 
 
-class GridSearch:
-    """Exhaustive ``(A, B, beta)`` grid search over the paper's box.
+class CandidateSearch:
+    """Shared plumbing of every search: search box, executor, context.
 
     Parameters
     ----------
@@ -143,10 +143,11 @@ class GridSearch:
         worker contexts when combined with ``workers``).
     executor_kind:
         Force an executor kind (``"serial"``, ``"vectorized"``,
-        ``"multiprocess"``); ``None`` defers to the ``REPRO_EXECUTOR``
-        environment variable, then to the ``workers``/``backend``
-        resolution.  ``"vectorized"`` fuses each level's candidates into
-        stacked ``(K, N, ...)`` sweeps — bit-identical to serial on NumPy.
+        ``"multiprocess"``, ``"multiprocess+vectorized"``); ``None`` defers
+        to the ``REPRO_EXECUTOR`` environment variable, then to the
+        ``workers``/``backend`` resolution.  ``"vectorized"`` fuses each
+        submission's candidates into stacked ``(K, N, ...)`` sweeps —
+        bit-identical to serial on NumPy.
     candidate_block_size:
         Candidates fused per sweep by a vectorized executor; ``None``
         defers to ``REPRO_CANDIDATE_BLOCK_SIZE`` (default 16).
@@ -177,14 +178,20 @@ class GridSearch:
         self.betas = tuple(betas)
         self.val_fraction = float(val_fraction)
         self.feature_batch_size = feature_batch_size
+        #: array-backend spec the search was built with (descent threads it
+        #: into its trainer config; the executor already carries it)
+        self.backend = backend
+        #: candidates fused per sweep (descent also chunks its fused
+        #: *training* stacks by this; None defers to the env default)
+        self.candidate_block_size = candidate_block_size
         self.executor = (executor if executor is not None
                          else make_executor(workers, backend=backend,
                                             kind=executor_kind,
                                             candidate_block_size=candidate_block_size))
         self._rng = ensure_rng(seed)
 
-    def _make_context(self, u_train, y_train, u_test, y_test,
-                      n_classes) -> EvaluationContext:
+    def _make_context(self, u_train, y_train, u_test, y_test, n_classes,
+                      base_seed: Optional[int] = None) -> EvaluationContext:
         return EvaluationContext.from_data(
             self.extractor.snapshot(),
             u_train, y_train, u_test, y_test,
@@ -192,7 +199,16 @@ class GridSearch:
             val_fraction=self.val_fraction,
             n_classes=n_classes,
             feature_batch_size=self.feature_batch_size,
+            base_seed=base_seed,
         )
+
+
+class GridSearch(CandidateSearch):
+    """Exhaustive ``(A, B, beta)`` grid search over the paper's box.
+
+    Takes the :class:`CandidateSearch` parameters; each grid level is one
+    executor submission.
+    """
 
     def run_level(
         self,
@@ -325,45 +341,19 @@ class RecursiveGridSearch:
     loss) grid point and recurses.  Linear in the number of levels, but the
     zoom commits to the coarse level's winner — when the accuracy landscape
     is rugged (Fig. 6), the refined grid can miss the global optimum
-    entirely.
+    entirely.  Keyword arguments other than ``divisions`` are the
+    :class:`CandidateSearch` parameters, forwarded to the per-level
+    :class:`GridSearch`.
     """
 
-    def __init__(
-        self,
-        extractor: DFRFeatureExtractor,
-        *,
-        divisions: int = 5,
-        a_range: Tuple[float, float] = PAPER_A_RANGE,
-        b_range: Tuple[float, float] = PAPER_B_RANGE,
-        betas: Sequence[float] = PAPER_BETAS,
-        val_fraction: float = 0.2,
-        feature_batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        executor_kind: Optional[str] = None,
-        candidate_block_size: Optional[int] = None,
-        executor: Optional[CandidateExecutor] = None,
-        seed: SeedLike = None,
-    ):
+    def __init__(self, extractor: DFRFeatureExtractor, *,
+                 divisions: int = 5, **kwargs):
         if divisions < 2:
             raise ValueError(f"divisions must be >= 2 to zoom, got {divisions}")
         self.divisions = int(divisions)
-        self.a_range = tuple(a_range)
-        self.b_range = tuple(b_range)
-        self._grid = GridSearch(
-            extractor,
-            a_range=a_range,
-            b_range=b_range,
-            betas=betas,
-            val_fraction=val_fraction,
-            feature_batch_size=feature_batch_size,
-            workers=workers,
-            backend=backend,
-            executor_kind=executor_kind,
-            candidate_block_size=candidate_block_size,
-            executor=executor,
-            seed=seed,
-        )
+        self._grid = GridSearch(extractor, **kwargs)
+        self.a_range = self._grid.a_range
+        self.b_range = self._grid.b_range
 
     def run(
         self,

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.grid_search import PAPER_A_RANGE, PAPER_B_RANGE
+from repro.core.grid_search import CandidateSearch
 from repro.core.pipeline import DFRFeatureExtractor, FixedParamsEvaluation
 from repro.core.population import (
     MemberResult,
@@ -49,15 +49,7 @@ from repro.core.population import (
 )
 from repro.core.selection import best_evaluation, better_evaluation
 from repro.core.trainer import TrainerConfig
-from repro.exec import (
-    Candidate,
-    CandidateExecutor,
-    EvaluationContext,
-    make_executor,
-    resolve_candidate_block_size,
-)
-from repro.readout.ridge import PAPER_BETAS
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.exec import Candidate, resolve_candidate_block_size
 
 __all__ = [
     "SearchOutcome",
@@ -93,59 +85,7 @@ class SearchOutcome:
         return len(self.evaluations)
 
 
-class _BlackBoxSearch:
-    """Shared plumbing: the evaluation context, executor, and search box."""
-
-    def __init__(
-        self,
-        extractor: DFRFeatureExtractor,
-        *,
-        a_range: Tuple[float, float] = PAPER_A_RANGE,
-        b_range: Tuple[float, float] = PAPER_B_RANGE,
-        betas: Sequence[float] = PAPER_BETAS,
-        val_fraction: float = 0.2,
-        feature_batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        executor_kind: Optional[str] = None,
-        candidate_block_size: Optional[int] = None,
-        executor: Optional[CandidateExecutor] = None,
-        seed: SeedLike = None,
-    ):
-        self.extractor = extractor
-        self.a_range = tuple(a_range)
-        self.b_range = tuple(b_range)
-        self.betas = tuple(betas)
-        self.val_fraction = float(val_fraction)
-        #: chunk size for the per-candidate reservoir sweeps; bounds peak
-        #: trace memory on large datasets without changing any score
-        self.feature_batch_size = feature_batch_size
-        #: array-backend spec the search was built with (descent threads it
-        #: into its trainer config; the executor already carries it)
-        self.backend = backend
-        #: candidates fused per sweep (descent also chunks its fused
-        #: *training* stacks by this; None defers to the env default)
-        self.candidate_block_size = candidate_block_size
-        self.executor = (executor if executor is not None
-                         else make_executor(workers, backend=backend,
-                                            kind=executor_kind,
-                                            candidate_block_size=candidate_block_size))
-        self._rng = ensure_rng(seed)
-
-    def _make_context(self, u_train, y_train, u_test, y_test, n_classes,
-                      base_seed: Optional[int] = None) -> EvaluationContext:
-        return EvaluationContext.from_data(
-            self.extractor.snapshot(),
-            u_train, y_train, u_test, y_test,
-            betas=self.betas,
-            val_fraction=self.val_fraction,
-            n_classes=n_classes,
-            feature_batch_size=self.feature_batch_size,
-            base_seed=base_seed,
-        )
-
-
-class RandomSearch(_BlackBoxSearch):
+class RandomSearch(CandidateSearch):
     """Log-uniform random sampling over the paper's search box."""
 
     def search(
@@ -185,7 +125,7 @@ class RandomSearch(_BlackBoxSearch):
         )
 
 
-class SimulatedAnnealing(_BlackBoxSearch):
+class SimulatedAnnealing(CandidateSearch):
     """Annealed local search in log-parameter space.
 
     Proposals perturb ``(log A, log B)`` with Gaussian steps whose scale
@@ -354,7 +294,7 @@ class DescentOutcome(SearchOutcome):
         return self.descent.n_retired if self.descent is not None else 0
 
 
-class PopulationDescent(_BlackBoxSearch):
+class PopulationDescent(CandidateSearch):
     """The fifth search: K fused restarts of the paper's BP+GD.
 
     Draws K starting points (member 0 at the paper's ``(0.01, 0.01)``
@@ -377,7 +317,7 @@ class PopulationDescent(_BlackBoxSearch):
     holdout split for the whole population (the sibling searches'
     convention: comparable criterion, executor-independent records).
 
-    Parameters (beyond the shared ``_BlackBoxSearch`` ones)
+    Parameters (beyond the shared ``CandidateSearch`` ones)
     ----------
     trainer_config:
         :class:`~repro.core.trainer.TrainerConfig` for the descent

@@ -42,7 +42,6 @@ not receive an explicit one (``DFRClassifier(search="descent")``,
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -61,7 +60,12 @@ from repro.readout.softmax import SoftmaxReadout, one_hot
 from repro.representation.dprr import DPRR
 from repro.reservoir.modular import ModularDFR
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import as_batch, ensure_1d_labels
+from repro.utils.validation import (
+    as_batch,
+    check_at_least,
+    ensure_1d_labels,
+    env_knob,
+)
 
 __all__ = [
     "POPULATION_ENV_VAR",
@@ -92,17 +96,9 @@ def resolve_population(population: Optional[int] = None,
     fleet-wide hints (invalid ones fall back to the default rather than
     raising in every entry point); explicit values below 1 raise.
     """
-    if population is None:
-        raw = os.environ.get(POPULATION_ENV_VAR, "").strip()
-        try:
-            population = int(raw) if raw else default
-        except ValueError:
-            population = default
-        return population if population >= 1 else default
-    population = int(population)
-    if population < 1:
-        raise ValueError(f"population must be >= 1, got {population}")
-    return population
+    return env_knob(population, POPULATION_ENV_VAR, int, default,
+                    lambda n: check_at_least(n, 1, name="population"),
+                    lenient=True)
 
 
 def draw_starting_points(

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import atexit
 import math
-import os
 import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -70,6 +69,7 @@ from repro.exec.context import (
 )
 from repro.faults import FaultInjected
 from repro import faults
+from repro.utils.validation import check_at_least, check_choice, env_knob
 
 __all__ = [
     "CandidateExecutor",
@@ -135,13 +135,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     Explicit ``workers`` wins; ``None`` consults ``REPRO_WORKERS``; an
     unset/invalid variable means serial.  Values below 1 clamp to 1.
     """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        try:
-            workers = int(raw) if raw else 1
-        except ValueError:
-            workers = 1
-    return max(1, int(workers))
+    return env_knob(workers, WORKERS_ENV_VAR, int, 1,
+                    lambda n: max(1, int(n)), lenient=True)
 
 
 def resolve_executor_kind(kind: Optional[str] = None) -> Optional[str]:
@@ -149,21 +144,12 @@ def resolve_executor_kind(kind: Optional[str] = None) -> Optional[str]:
 
     ``None`` consults ``REPRO_EXECUTOR``; unset/empty means no override
     (the default ``workers``/``backend`` resolution applies).  Anything
-    other than ``serial``, ``vectorized`` or ``multiprocess`` raises.
+    other than ``serial``, ``vectorized``, ``multiprocess`` or
+    ``multiprocess+vectorized`` raises.
     """
-    if kind is None:
-        kind = os.environ.get(EXECUTOR_ENV_VAR, "").strip() or None
-        if kind is None:
-            return None
-    kind = str(kind).strip().lower()
-    # "vectorized+multiprocess" is accepted as the same composition
-    if kind == "vectorized+multiprocess":
-        kind = "multiprocess+vectorized"
-    if kind not in _EXECUTOR_KINDS:
-        raise ValueError(
-            f"executor kind must be one of {_EXECUTOR_KINDS}, got {kind!r}"
-        )
-    return kind
+    return env_knob(kind, EXECUTOR_ENV_VAR, str, None,
+                    lambda k: check_choice(k, _EXECUTOR_KINDS,
+                                           name="executor kind"))
 
 
 def resolve_candidate_block_size(block_size: Optional[int] = None) -> int:
@@ -171,30 +157,14 @@ def resolve_candidate_block_size(block_size: Optional[int] = None) -> int:
 
     Explicit ``block_size`` wins; ``None`` consults
     ``REPRO_CANDIDATE_BLOCK_SIZE``; absent/invalid both, the default of
-    ``DEFAULT_CANDIDATE_BLOCK_SIZE`` applies.
+    ``DEFAULT_CANDIDATE_BLOCK_SIZE`` applies.  Env values are best-effort
+    fleet-wide hints: anything invalid (non-numeric or < 1) falls back to
+    the default rather than raising in every default-constructed search.
     """
-    if block_size is None:
-        raw = os.environ.get(BLOCK_SIZE_ENV_VAR, "").strip()
-        try:
-            block_size = int(raw) if raw else DEFAULT_CANDIDATE_BLOCK_SIZE
-        except ValueError:
-            block_size = DEFAULT_CANDIDATE_BLOCK_SIZE
-        # env values are best-effort fleet-wide hints: anything invalid
-        # (non-numeric or < 1) falls back to the default rather than
-        # raising in every default-constructed search
-        return block_size if block_size >= 1 else DEFAULT_CANDIDATE_BLOCK_SIZE
-    block_size = int(block_size)
-    if block_size < 1:
-        raise ValueError(f"candidate block size must be >= 1, got {block_size}")
-    return block_size
-
-
-def _resolve_env_number(raw: str, default: float) -> float:
-    try:
-        value = float(raw) if raw.strip() else default
-    except ValueError:
-        return default
-    return value if value >= 0 else default
+    return env_knob(block_size, BLOCK_SIZE_ENV_VAR, int,
+                    DEFAULT_CANDIDATE_BLOCK_SIZE,
+                    lambda n: check_at_least(n, 1, name="candidate block size"),
+                    lenient=True)
 
 
 def resolve_max_retries(max_retries: Optional[int] = None) -> int:
@@ -204,35 +174,27 @@ def resolve_max_retries(max_retries: Optional[int] = None) -> int:
     absent/invalid both, ``DEFAULT_MAX_RETRIES`` applies.  ``0`` disables
     retries (a lost unit fails immediately).
     """
-    if max_retries is None:
-        return int(_resolve_env_number(
-            os.environ.get(MAX_RETRIES_ENV_VAR, ""), DEFAULT_MAX_RETRIES))
-    max_retries = int(max_retries)
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    return max_retries
+    return env_knob(max_retries, MAX_RETRIES_ENV_VAR, int,
+                    DEFAULT_MAX_RETRIES,
+                    lambda n: check_at_least(n, 0, name="max_retries"),
+                    lenient=True)
 
 
 def resolve_retry_backoff_ms(backoff_ms: Optional[float] = None) -> float:
     """Resolve the base retry backoff in milliseconds (>= 0)."""
-    if backoff_ms is None:
-        return _resolve_env_number(
-            os.environ.get(RETRY_BACKOFF_ENV_VAR, ""), DEFAULT_RETRY_BACKOFF_MS)
-    backoff_ms = float(backoff_ms)
-    if not (backoff_ms >= 0):
-        raise ValueError(f"backoff_ms must be >= 0, got {backoff_ms}")
-    return backoff_ms
+    return env_knob(backoff_ms, RETRY_BACKOFF_ENV_VAR, float,
+                    DEFAULT_RETRY_BACKOFF_MS,
+                    lambda v: check_at_least(v, 0, name="backoff_ms",
+                                             cast=float),
+                    lenient=True)
 
 
 def resolve_task_timeout_ms(timeout_ms: Optional[float] = None) -> float:
     """Resolve the per-task timeout in milliseconds (0 disables it)."""
-    if timeout_ms is None:
-        return _resolve_env_number(
-            os.environ.get(TASK_TIMEOUT_ENV_VAR, ""), 0.0)
-    timeout_ms = float(timeout_ms)
-    if not (timeout_ms >= 0):
-        raise ValueError(f"timeout_ms must be >= 0, got {timeout_ms}")
-    return timeout_ms
+    return env_knob(timeout_ms, TASK_TIMEOUT_ENV_VAR, float, 0.0,
+                    lambda v: check_at_least(v, 0, name="timeout_ms",
+                                             cast=float),
+                    lenient=True)
 
 
 class CandidateExecutor:
@@ -349,8 +311,7 @@ class BackendExecutor(CandidateExecutor):
     def __init__(self, backend: Optional[str] = None):
         from repro.backend import BACKEND_ENV_VAR, resolve_backend
 
-        if backend is None:
-            backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or None
+        backend = env_knob(backend, BACKEND_ENV_VAR, str, None)
         #: spec applied to submitted contexts; None means no override
         self.backend_spec = backend
         #: resolved backend (eager, so a missing library fails here)

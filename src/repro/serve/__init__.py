@@ -31,10 +31,8 @@ from repro.serve.async_engine import AsyncServeEngine, AsyncServeSession
 from repro.serve.carry import CarryStore, carry_from_doc, carry_to_doc
 from repro.serve.engine import (
     DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_MS,
     SERVE_MAX_BATCH_ENV,
     SERVE_MAX_PENDING_ENV,
-    SERVE_MAX_WAIT_ENV,
     SESSION_FORMAT,
     SESSION_FORMAT_VERSION,
     Backpressure,
@@ -44,7 +42,6 @@ from repro.serve.engine import (
     TickReport,
     resolve_max_batch,
     resolve_max_pending,
-    resolve_max_wait_ms,
 )
 from repro.serve.model_store import (
     MODEL_FORMAT,
@@ -95,16 +92,13 @@ __all__ = [
     "Backpressure",
     "Overloaded",
     "SERVE_MAX_BATCH_ENV",
-    "SERVE_MAX_WAIT_ENV",
     "SERVE_MAX_PENDING_ENV",
     "SERVE_DEADLINE_ENV",
     "SERVE_IDLE_TTL_ENV",
     "DEFAULT_MAX_BATCH",
-    "DEFAULT_MAX_WAIT_MS",
     "DEFAULT_DEADLINE_MS",
     "resolve_max_batch",
     "resolve_max_pending",
-    "resolve_max_wait_ms",
     "resolve_deadline_ms",
     "resolve_idle_ttl_ms",
     "TraceEvent",

@@ -50,9 +50,7 @@ variables):
   sweep (default 32).
 * ``deadline_ms`` / ``REPRO_SERVE_DEADLINE_MS`` — default per-chunk
   deadline budget (default 0: due immediately).  Overridable per session
-  (``open_session``) and per chunk (``submit``).  ``max_wait_ms`` /
-  ``REPRO_SERVE_MAX_WAIT_MS`` is kept as a compatibility alias feeding
-  the same default.
+  (``open_session``) and per chunk (``submit``).
 * ``slack_margin_ms`` — fire a due bucket this early (``"auto"`` = an
   EWMA of measured sweep durations, so results *land* before deadlines
   instead of starting at them; default 0 preserves the legacy
@@ -76,7 +74,6 @@ variables):
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -96,17 +93,15 @@ from repro.serve.scheduler import (
     resolve_idle_ttl_ms,
 )
 from repro.serve.session import PendingChunk, StreamSession
+from repro.utils.validation import check_at_least, env_knob
 
 __all__ = [
     "SERVE_MAX_BATCH_ENV",
-    "SERVE_MAX_WAIT_ENV",
     "SERVE_MAX_PENDING_ENV",
     "DEFAULT_MAX_BATCH",
-    "DEFAULT_MAX_WAIT_MS",
     "SESSION_FORMAT",
     "SESSION_FORMAT_VERSION",
     "resolve_max_batch",
-    "resolve_max_wait_ms",
     "resolve_max_pending",
     "Backpressure",
     "Overloaded",
@@ -117,14 +112,10 @@ __all__ = [
 
 #: environment variable bounding sessions per fused sweep
 SERVE_MAX_BATCH_ENV = "REPRO_SERVE_MAX_BATCH"
-#: environment variable bounding how long a partial batch may wait (ms);
-#: the legacy alias of REPRO_SERVE_DEADLINE_MS
-SERVE_MAX_WAIT_ENV = "REPRO_SERVE_MAX_WAIT_MS"
 #: environment variable bounding queued chunks per session (0 = unbounded)
 SERVE_MAX_PENDING_ENV = "REPRO_SERVE_MAX_PENDING"
 
 DEFAULT_MAX_BATCH = 32
-DEFAULT_MAX_WAIT_MS = 0.0
 
 
 class Backpressure(RuntimeError):
@@ -157,56 +148,14 @@ _SESSION_KEYS = {"format", "format_version", "session_id", "model_name",
 
 def resolve_max_batch(value: Optional[int] = None) -> int:
     """``value`` if given, else ``REPRO_SERVE_MAX_BATCH``, else 32."""
-    if value is None:
-        raw = os.environ.get(SERVE_MAX_BATCH_ENV, "").strip()
-        if not raw:
-            return DEFAULT_MAX_BATCH
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{SERVE_MAX_BATCH_ENV} must be an integer, got {raw!r}"
-            ) from None
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"max_batch must be >= 1, got {value}")
-    return value
-
-
-def resolve_max_wait_ms(value: Optional[float] = None) -> float:
-    """``value`` if given, else ``REPRO_SERVE_MAX_WAIT_MS``, else 0."""
-    if value is None:
-        raw = os.environ.get(SERVE_MAX_WAIT_ENV, "").strip()
-        if not raw:
-            return DEFAULT_MAX_WAIT_MS
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{SERVE_MAX_WAIT_ENV} must be a number, got {raw!r}"
-            ) from None
-    value = float(value)
-    if not np.isfinite(value) or value < 0.0:
-        raise ValueError(f"max_wait_ms must be finite and >= 0, got {value}")
-    return value
+    return env_knob(value, SERVE_MAX_BATCH_ENV, int, DEFAULT_MAX_BATCH,
+                    lambda n: check_at_least(n, 1, name="max_batch"))
 
 
 def resolve_max_pending(value: Optional[int] = None) -> int:
     """``value`` if given, else ``REPRO_SERVE_MAX_PENDING``, else 0 (off)."""
-    if value is None:
-        raw = os.environ.get(SERVE_MAX_PENDING_ENV, "").strip()
-        if not raw:
-            return 0
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{SERVE_MAX_PENDING_ENV} must be an integer, got {raw!r}"
-            ) from None
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"max_pending must be >= 0, got {value}")
-    return value
+    return env_knob(value, SERVE_MAX_PENDING_ENV, int, 0,
+                    lambda n: check_at_least(n, 0, name="max_pending"))
 
 
 @dataclass
@@ -334,10 +283,9 @@ class ServeEngine:
 
     Parameters
     ----------
-    max_batch, max_wait_ms, deadline_ms, slack_margin_ms, idle_ttl_ms:
+    max_batch, deadline_ms, slack_margin_ms, idle_ttl_ms:
         Scheduling knobs; see the module docstring.  ``None`` defers to
-        the environment.  ``deadline_ms`` wins over the legacy
-        ``max_wait_ms`` alias when both are given.
+        the environment.
     window:
         Streaming ring width handed to ``run_streaming``.  Every submitted
         chunk must be at least this many steps long (the resumable-state
@@ -360,7 +308,6 @@ class ServeEngine:
     """
 
     def __init__(self, *, max_batch: Optional[int] = None,
-                 max_wait_ms: Optional[float] = None,
                  deadline_ms: Optional[float] = None,
                  slack_margin_ms=0.0,
                  idle_ttl_ms: Optional[float] = None,
@@ -372,10 +319,7 @@ class ServeEngine:
                  backend: Optional[str] = None, dtype: Optional[str] = None,
                  clock: Optional[Callable[[], float]] = None):
         self.max_batch = resolve_max_batch(max_batch)
-        # deadline default resolution: explicit deadline_ms, then its env
-        # var, then the legacy max_wait chain (argument, env var, 0)
-        self.deadline_ms = resolve_deadline_ms(
-            deadline_ms, default=resolve_max_wait_ms(max_wait_ms))
+        self.deadline_ms = resolve_deadline_ms(deadline_ms)
         if slack_margin_ms == "auto":
             self._auto_margin = True
             self._fixed_margin_s = 0.0
@@ -444,11 +388,6 @@ class ServeEngine:
         self.total_shed = 0
         self.total_backpressure = 0
         self.min_slack_ms: Optional[float] = None
-
-    @property
-    def max_wait_ms(self) -> float:
-        """Legacy alias: the resolved default deadline budget."""
-        return self.deadline_ms
 
     @property
     def margin_s(self) -> float:

@@ -1,12 +1,12 @@
 """Earliest-deadline-first batch scheduling for the serving engine.
 
-PR 7's engine had exactly one latency control: a global ``max_wait_ms``
-that deferred *every* partial batch while the oldest waiting chunk was
-young enough.  That is a throughput knob wearing a latency costume — one
-slow stream's age gates every other stream's batch, and nothing in the
-report says whether any particular chunk made its latency target.
+A single engine-wide wait budget that defers *every* partial batch while
+the oldest waiting chunk is young enough is a throughput knob wearing a
+latency costume — one slow stream's age gates every other stream's batch,
+and nothing in the report says whether any particular chunk made its
+latency target.
 
-This module replaces it with per-chunk deadlines:
+This module schedules by per-chunk deadlines instead:
 
 * every :class:`~repro.serve.session.PendingChunk` carries an absolute
   ``deadline`` (engine-clock seconds), resolved at submit time from the
@@ -33,10 +33,9 @@ an injected clock and keeps EDF ordering deterministic.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
+from repro.utils.validation import check_at_least, env_knob
 
 __all__ = [
     "SERVE_DEADLINE_ENV",
@@ -55,40 +54,23 @@ SERVE_IDLE_TTL_ENV = "REPRO_SERVE_IDLE_TTL_MS"
 DEFAULT_DEADLINE_MS = 0.0
 
 
-def _resolve_ms(value: Optional[float], env_var: str, default: float,
-                what: str) -> float:
-    if value is None:
-        raw = os.environ.get(env_var, "").strip()
-        if not raw:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{env_var} must be a number, got {raw!r}"
-            ) from None
-    value = float(value)
-    if not np.isfinite(value) or value < 0.0:
-        raise ValueError(f"{what} must be finite and >= 0, got {value}")
-    return value
+def resolve_deadline_ms(value: Optional[float] = None) -> float:
+    """``value`` if given, else ``REPRO_SERVE_DEADLINE_MS``, else 0.
 
-
-def resolve_deadline_ms(value: Optional[float] = None, *,
-                        default: float = DEFAULT_DEADLINE_MS) -> float:
-    """``value`` if given, else ``REPRO_SERVE_DEADLINE_MS``, else ``default``.
-
-    ``default`` lets the engine chain the legacy ``max_wait_ms``
-    resolution behind the deadline knob (deadline wins when both are set).
     A budget of 0 means "due immediately": the chunk's deadline equals its
     arrival, every tick fires it, and it is excluded from violation
-    accounting — exactly the legacy never-defer default.
+    accounting — exactly the never-defer default.
     """
-    return _resolve_ms(value, SERVE_DEADLINE_ENV, default, "deadline_ms")
+    return env_knob(value, SERVE_DEADLINE_ENV, float, DEFAULT_DEADLINE_MS,
+                    lambda v: check_at_least(v, 0, name="deadline_ms",
+                                             cast=float, finite=True))
 
 
 def resolve_idle_ttl_ms(value: Optional[float] = None) -> float:
     """``value`` if given, else ``REPRO_SERVE_IDLE_TTL_MS``, else 0 (off)."""
-    return _resolve_ms(value, SERVE_IDLE_TTL_ENV, 0.0, "idle_ttl_ms")
+    return env_knob(value, SERVE_IDLE_TTL_ENV, float, 0.0,
+                    lambda v: check_at_least(v, 0, name="idle_ttl_ms",
+                                             cast=float, finite=True))
 
 
 class _Entry:

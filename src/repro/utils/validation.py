@@ -6,9 +6,14 @@ The conventions enforced here are global to the package:
   ``C``-channel multivariate series;
 * a *batch* is a 3-D array of shape ``(N, T, C)``;
 * labels are 1-D integer arrays of shape ``(N,)``.
+
+:func:`env_knob` is the one place a ``REPRO_*`` environment variable is
+read, parsed, bounded and reported.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -49,6 +54,51 @@ def check_probability(value: float, *, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
+
+
+def check_at_least(value, lo, *, name: str, cast=int, finite: bool = False):
+    """Validate ``cast(value) >= lo``; NaN fails, and ``finite`` rejects inf."""
+    value = cast(value)
+    if not value >= lo or (finite and not np.isfinite(value)):
+        bound = f"finite and >= {lo}" if finite else f">= {lo}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def check_choice(value, choices, *, name: str) -> str:
+    """Validate that the stripped, lower-cased ``value`` is in ``choices``."""
+    value = str(value).strip().lower()
+    if value not in choices:
+        raise ValueError(
+            f"{name} must be one of {', '.join(choices)}; got {value!r}"
+        )
+    return value
+
+
+def env_knob(value, env_var: str, parse, default, check=None, *,
+             lenient: bool = False):
+    """Resolve a knob: explicit ``value``, then ``env_var``, then ``default``.
+
+    An explicit ``value`` wins and goes through ``check``, so a bad one
+    always raises.  Otherwise the stripped variable is parsed with
+    ``parse`` and checked; an unset or blank variable gives ``default``.
+    A variable that fails to parse or check raises ``ValueError`` naming
+    the variable and its raw value — unless the knob is ``lenient`` (a
+    best-effort fleet-wide hint), which falls back to ``default`` instead.
+    ``check`` returns the validated value or raises ``ValueError``.
+    """
+    if value is not None:
+        return value if check is None else check(value)
+    raw = os.environ.get(env_var, "").strip()
+    if not raw:
+        return default
+    try:
+        value = parse(raw)
+        return value if check is None else check(value)
+    except (ValueError, OverflowError) as exc:
+        if lenient:
+            return default
+        raise ValueError(f"invalid {env_var}={raw!r}: {exc}") from None
 
 
 def ensure_1d_labels(y: np.ndarray, *, n_samples: int = None) -> np.ndarray:

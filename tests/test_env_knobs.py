@@ -1,0 +1,168 @@
+"""Tests for ``env_knob``: the one resolver behind every ``REPRO_*`` knob.
+
+Resolution order is explicit value, then the environment variable, then
+the default.  Two env policies exist: a *strict* knob raises a
+``ValueError`` naming the variable on a bad value, a *lenient* knob (a
+best-effort fleet-wide hint) falls back to its default.  A bad explicit
+value raises under both.
+"""
+
+import pytest
+
+from repro.backend import DTYPE_ENV_VAR, default_backend
+from repro.backend.scan import (
+    FILTER_IMPL_ENV_VAR,
+    SCAN_CROSSOVER_ENV_VAR,
+    resolve_filter_impl,
+    scan_crossover,
+)
+from repro.core.population import (
+    DEFAULT_POPULATION,
+    POPULATION_ENV_VAR,
+    resolve_population,
+)
+from repro.exec import (
+    BLOCK_SIZE_ENV_VAR,
+    DEFAULT_CANDIDATE_BLOCK_SIZE,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_RETRY_BACKOFF_MS,
+    EXECUTOR_ENV_VAR,
+    MAX_RETRIES_ENV_VAR,
+    RETRY_BACKOFF_ENV_VAR,
+    TASK_TIMEOUT_ENV_VAR,
+    WORKERS_ENV_VAR,
+    MultiprocessExecutor,
+    resolve_candidate_block_size,
+    resolve_executor_kind,
+    resolve_max_retries,
+    resolve_retry_backoff_ms,
+    resolve_task_timeout_ms,
+    resolve_workers,
+)
+from repro.serve import (
+    SERVE_DEADLINE_ENV,
+    SERVE_IDLE_TTL_ENV,
+    SERVE_MAX_BATCH_ENV,
+    SERVE_MAX_PENDING_ENV,
+    resolve_deadline_ms,
+    resolve_idle_ttl_ms,
+    resolve_max_batch,
+    resolve_max_pending,
+)
+from repro.utils.validation import check_at_least, check_choice, env_knob
+
+ENV = "REPRO_TEST_KNOB"
+
+
+def _positive(n):
+    return check_at_least(n, 1, name="knob")
+
+
+def _int_via_float(raw):
+    # "inf" and "1e400" parse as floats, then overflow int()
+    return int(float(raw))
+
+
+@pytest.fixture(autouse=True)
+def _unset(monkeypatch):
+    monkeypatch.delenv(ENV, raising=False)
+
+
+class TestEnvKnob:
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_explicit_value_beats_env(self, monkeypatch, lenient):
+        monkeypatch.setenv(ENV, "7")
+        assert env_knob(3, ENV, int, 5, _positive, lenient=lenient) == 3
+
+    def test_env_value_is_stripped_parsed_and_checked(self, monkeypatch):
+        monkeypatch.setenv(ENV, "  7 ")
+        assert env_knob(None, ENV, int, 5, _positive) == 7
+
+    @pytest.mark.parametrize("raw", [None, "", "   "])
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_unset_or_blank_gives_default(self, monkeypatch, raw, lenient):
+        if raw is not None:
+            monkeypatch.setenv(ENV, raw)
+        assert env_knob(None, ENV, int, 5, _positive, lenient=lenient) == 5
+        # the default itself is not checked: None means "no override"
+        assert env_knob(None, ENV, str, None, lenient=lenient) is None
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "nan", "inf", "1e400"])
+    def test_strict_failure_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV, raw)
+        with pytest.raises(ValueError, match=ENV) as info:
+            env_knob(None, ENV, _int_via_float, 5, _positive)
+        assert repr(raw) in str(info.value)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "nan", "inf", "1e400"])
+    def test_lenient_failure_gives_default(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV, raw)
+        assert env_knob(None, ENV, _int_via_float, 5, _positive,
+                        lenient=True) == 5
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_bad_explicit_value_raises(self, monkeypatch, lenient):
+        monkeypatch.setenv(ENV, "7")
+        with pytest.raises(ValueError, match="knob must be >= 1, got 0"):
+            env_knob(0, ENV, int, 5, _positive, lenient=lenient)
+
+    def test_checks(self):
+        assert check_at_least("3", 0, name="k") == 3
+        assert check_at_least("inf", 0, name="k", cast=float) == float("inf")
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            check_at_least("inf", 0, name="k", cast=float, finite=True)
+        with pytest.raises(ValueError):
+            check_at_least("nan", 0, name="k", cast=float)
+        assert check_choice(" Scan ", ("auto", "scan"), name="k") == "scan"
+        with pytest.raises(ValueError, match="auto, scan; got 'fft'"):
+            check_choice("fft", ("auto", "scan"), name="k")
+
+
+# every scalar REPRO_* knob and its env policy
+LENIENT = [
+    (resolve_workers, WORKERS_ENV_VAR, 1),
+    (resolve_candidate_block_size, BLOCK_SIZE_ENV_VAR,
+     DEFAULT_CANDIDATE_BLOCK_SIZE),
+    (resolve_population, POPULATION_ENV_VAR, DEFAULT_POPULATION),
+    (resolve_max_retries, MAX_RETRIES_ENV_VAR, DEFAULT_MAX_RETRIES),
+    (resolve_retry_backoff_ms, RETRY_BACKOFF_ENV_VAR,
+     DEFAULT_RETRY_BACKOFF_MS),
+    (resolve_task_timeout_ms, TASK_TIMEOUT_ENV_VAR, 0.0),
+]
+STRICT = [
+    (resolve_executor_kind, EXECUTOR_ENV_VAR),
+    (resolve_max_batch, SERVE_MAX_BATCH_ENV),
+    (resolve_max_pending, SERVE_MAX_PENDING_ENV),
+    (resolve_deadline_ms, SERVE_DEADLINE_ENV),
+    (resolve_idle_ttl_ms, SERVE_IDLE_TTL_ENV),
+    (resolve_filter_impl, FILTER_IMPL_ENV_VAR),
+    (scan_crossover, SCAN_CROSSOVER_ENV_VAR),
+    (default_backend, DTYPE_ENV_VAR),
+]
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+@pytest.mark.parametrize("resolve, env_var, default", LENIENT,
+                         ids=[row[1] for row in LENIENT])
+def test_lenient_knobs_fall_back(monkeypatch, resolve, env_var, default, raw):
+    monkeypatch.setenv(env_var, raw)
+    assert resolve() == default
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+@pytest.mark.parametrize("resolve, env_var", STRICT,
+                         ids=[row[1] for row in STRICT])
+def test_strict_knobs_name_the_variable(monkeypatch, resolve, env_var, raw):
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    monkeypatch.setenv(env_var, raw)
+    with pytest.raises(ValueError, match=env_var):
+        resolve()
+
+
+@pytest.mark.parametrize("raw", ["inf", "1e400", "2.7", "abc", "-1"])
+def test_max_retries_env_falls_back_on_any_non_integer(monkeypatch, raw):
+    # inf and 1e400 used to raise OverflowError; 2.7 was truncated to 2
+    monkeypatch.setenv(MAX_RETRIES_ENV_VAR, raw)
+    assert resolve_max_retries() == DEFAULT_MAX_RETRIES
+    with MultiprocessExecutor(1) as executor:
+        assert executor.max_retries == DEFAULT_MAX_RETRIES

@@ -256,9 +256,6 @@ class TestTwoLevelFusion:
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert (resolve_executor_kind("multiprocess+vectorized")
                 == "multiprocess+vectorized")
-        # the reversed spelling is accepted as the same composition
-        assert (resolve_executor_kind("vectorized+multiprocess")
-                == "multiprocess+vectorized")
         monkeypatch.setenv("REPRO_EXECUTOR", "multiprocess+vectorized")
         assert resolve_executor_kind(None) == "multiprocess+vectorized"
         monkeypatch.setenv("REPRO_WORKERS", "2")

@@ -17,11 +17,9 @@ from repro.data.registry import GeneratorSpec, generate, make_spec
 from repro.readout.ridge import RidgeModel, fit_ridge
 from repro.serve import (
     DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_MS,
     SERVE_DEADLINE_ENV,
     SERVE_IDLE_TTL_ENV,
     SERVE_MAX_BATCH_ENV,
-    SERVE_MAX_WAIT_ENV,
     DeadlineScheduler,
     ServableModel,
     ServeEngine,
@@ -31,7 +29,6 @@ from repro.serve import (
     resolve_deadline_ms,
     spec_trace,
     resolve_max_batch,
-    resolve_max_wait_ms,
     save_model,
 )
 
@@ -197,7 +194,7 @@ class TestEngineScheduling:
 
     def test_max_wait_defers_partial_batches(self, trained):
         t = [0.0]
-        engine = ServeEngine(max_batch=4, max_wait_ms=50.0,
+        engine = ServeEngine(max_batch=4, deadline_ms=50.0,
                              clock=lambda: t[0])
         engine.deploy(_model(trained))
         sid = engine.open_session("m0")
@@ -212,7 +209,7 @@ class TestEngineScheduling:
 
     def test_full_batch_is_never_deferred(self, trained):
         t = [0.0]
-        engine = ServeEngine(max_batch=2, max_wait_ms=1e6,
+        engine = ServeEngine(max_batch=2, deadline_ms=1e6,
                              clock=lambda: t[0])
         engine.deploy(_model(trained))
         for _ in range(2):
@@ -222,7 +219,7 @@ class TestEngineScheduling:
         assert report.processed == 2 and not report.deferred
 
     def test_force_overrides_deferral(self, trained):
-        engine = ServeEngine(max_batch=4, max_wait_ms=1e6)
+        engine = ServeEngine(max_batch=4, deadline_ms=1e6)
         engine.deploy(_model(trained))
         sid = engine.open_session("m0")
         engine.submit(sid, np.zeros((4, 2)))
@@ -271,24 +268,16 @@ class TestEngineScheduling:
 
     def test_env_knob_resolution(self, monkeypatch):
         assert resolve_max_batch() == DEFAULT_MAX_BATCH
-        assert resolve_max_wait_ms() == DEFAULT_MAX_WAIT_MS
         monkeypatch.setenv(SERVE_MAX_BATCH_ENV, "7")
-        monkeypatch.setenv(SERVE_MAX_WAIT_ENV, "12.5")
         assert resolve_max_batch() == 7
-        assert resolve_max_wait_ms() == 12.5
         engine = ServeEngine()
-        assert engine.max_batch == 7 and engine.max_wait_ms == 12.5
+        assert engine.max_batch == 7
         assert resolve_max_batch(3) == 3  # explicit beats env
         monkeypatch.setenv(SERVE_MAX_BATCH_ENV, "zero")
         with pytest.raises(ValueError, match=SERVE_MAX_BATCH_ENV):
             resolve_max_batch()
-        monkeypatch.setenv(SERVE_MAX_WAIT_ENV, "soon")
-        with pytest.raises(ValueError, match=SERVE_MAX_WAIT_ENV):
-            resolve_max_wait_ms()
         with pytest.raises(ValueError):
             resolve_max_batch(0)
-        with pytest.raises(ValueError):
-            resolve_max_wait_ms(-1.0)
 
     def test_threaded_submit_while_ticking(self, trained):
         # submits racing ticks from another thread neither crash nor lose
@@ -712,11 +701,8 @@ class TestDeadlineEngine:
         monkeypatch.setenv(SERVE_DEADLINE_ENV, "25")
         engine = ServeEngine()
         assert engine.deadline_ms == 25.0
-        assert engine.max_wait_ms == 25.0  # compatibility alias
-        # explicit deadline beats the env; deadline beats legacy max_wait
-        assert ServeEngine(deadline_ms=5.0, max_wait_ms=99.0).deadline_ms == 5.0
-        monkeypatch.delenv(SERVE_DEADLINE_ENV)
-        assert ServeEngine(max_wait_ms=12.0).deadline_ms == 12.0
+        # explicit deadline beats the env
+        assert ServeEngine(deadline_ms=5.0).deadline_ms == 5.0
         with pytest.raises(ValueError, match="deadline_ms"):
             resolve_deadline_ms(-1.0)
         monkeypatch.setenv(SERVE_DEADLINE_ENV, "never")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker: executable snippets + local-link integrity.
+"""Documentation checker: snippets, local links, env-var drift.
 
-Two checks, both cheap enough to gate CI (the ``docs`` job runs this):
+Three checks, all cheap enough to gate CI (the ``docs`` job runs this):
 
 1. **Snippet execution.**  Every fenced ``python`` code block immediately
    preceded by an ``<!-- check:exec -->`` marker is executed in a fresh
@@ -11,6 +11,10 @@ Two checks, both cheap enough to gate CI (the ``docs`` job runs this):
 2. **Link integrity.**  Every relative markdown link/image target in the
    checked files must exist on disk (anchors are stripped; external
    ``http(s)``/``mailto`` links are not fetched).
+3. **Env-var drift.**  When README.md is checked, the ``REPRO_*`` names it
+   mentions must equal the ``"REPRO_*"`` string literals under
+   ``src/repro``, in both directions: every variable the package reads is
+   documented, and no documented variable is stale.
 
 Usage::
 
@@ -44,6 +48,8 @@ FENCE_RE = re.compile(
 # [text](target) and ![alt](target); ignores external schemes below
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+ENV_NAME_RE = re.compile(r"REPRO_[A-Z0-9_]+")
+ENV_LITERAL_RE = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
 
 
 def iter_exec_blocks(text: str):
@@ -63,6 +69,19 @@ def check_links(path: Path, text: str) -> list:
         if not resolved.exists():
             failures.append(f"{path}: broken link -> {target}")
     return failures
+
+
+def check_env_names(readme_text: str) -> list:
+    documented = set(ENV_NAME_RE.findall(readme_text))
+    defined = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        defined.update(ENV_LITERAL_RE.findall(path.read_text(encoding="utf-8")))
+    return (
+        [f"README.md: documents {name}, which no src/repro literal defines"
+         for name in sorted(documented - defined)]
+        + [f"README.md: does not document {name}, defined in src/repro"
+           for name in sorted(defined - documented)]
+    )
 
 
 def run_snippet(source_name: str, code: str) -> list:
@@ -88,6 +107,8 @@ def main(argv=None) -> int:
             continue
         text = path.read_text(encoding="utf-8")
         failures.extend(check_links(path, text))
+        if name == "README.md":
+            failures.extend(check_env_names(text))
         for code in iter_exec_blocks(text):
             failures.extend(run_snippet(name, code))
     if failures:
