@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from repro.bench.ablations import (
     format_bitwidth_ablation,
@@ -255,6 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(doc: dict, dest: Optional[str]) -> None:
+    """``--json -`` prints ``doc`` to stdout; ``--json PATH`` writes a file."""
+    if dest == "-":
+        json.dump(doc, sys.stdout, indent=2)
+        print()
+    elif dest:
+        with open(dest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -338,13 +350,7 @@ def main(argv=None) -> int:
         )
         print()
         print(format_serve(result))
-        if args.json == "-":
-            json.dump(result, sys.stdout, indent=2)
-            print()
-        elif args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(result, fh, indent=2)
-                fh.write("\n")
+        _write_json(result, args.json)
         if result["bitwise_mismatches"]:
             return 1
     elif args.command == "matrix":
@@ -361,13 +367,7 @@ def main(argv=None) -> int:
             )
             print()
             print(format_matrix_compare(diff))
-            if args.json == "-":
-                json.dump(diff, sys.stdout, indent=2)
-                print()
-            elif args.json:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    json.dump(diff, fh, indent=2)
-                    fh.write("\n")
+            _write_json(diff, args.json)
             return 0 if diff["ok"] else 1
         specs = [parse_spec_arg(text, default_seed=args.seed)
                  for text in args.specs]
@@ -384,13 +384,7 @@ def main(argv=None) -> int:
         )
         print()
         print(format_matrix(report))
-        if args.json == "-":
-            json.dump(report, sys.stdout, indent=2)
-            print()
-        elif args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+        _write_json(report, args.json)
     elif args.command == "all":
         print(format_table2(run_table2()))
         print()

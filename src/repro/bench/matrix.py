@@ -52,6 +52,7 @@ from repro.data.registry import (
     make_spec,
     spec_for_dataset,
 )
+from repro.utils.validation import check_document
 
 __all__ = [
     "MATRIX_FORMAT",
@@ -67,6 +68,10 @@ __all__ = [
 
 MATRIX_FORMAT = "repro-matrix-report"
 MATRIX_FORMAT_VERSION = 1
+
+_REPORT_KEYS = {"format", "format_version", "seed", "budget", "divisions",
+                "n_nodes", "epochs", "specs", "backends", "executors",
+                "searches", "cells"}
 
 #: parameter searches a cell can run; all share the evaluation protocol
 #: (holdout beta selection, then a test score) so their columns compare
@@ -312,22 +317,9 @@ def run_matrix(
 
 def _validate_matrix_report(report: dict, which: str) -> None:
     """Refuse anything but a well-formed matrix-report envelope."""
-    if not isinstance(report, dict):
-        raise TypeError(
-            f"{which} report must be a dict, got {type(report).__name__}"
-        )
-    if report.get("format") != MATRIX_FORMAT:
-        raise ValueError(
-            f"{which} report is not a {MATRIX_FORMAT} document "
-            f"(format={report.get('format')!r})"
-        )
-    if report.get("format_version") != MATRIX_FORMAT_VERSION:
-        raise ValueError(
-            f"{which} report has format_version "
-            f"{report.get('format_version')!r}; this release reads version "
-            f"{MATRIX_FORMAT_VERSION} only"
-        )
-    if not isinstance(report.get("cells"), list):
+    check_document(report, _REPORT_KEYS, what=f"{which} matrix report",
+                   fmt=MATRIX_FORMAT, version=MATRIX_FORMAT_VERSION)
+    if not isinstance(report["cells"], list):
         raise ValueError(f"{which} report has no 'cells' list")
 
 

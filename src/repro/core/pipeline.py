@@ -43,7 +43,7 @@ from repro.reservoir.masking import InputMask
 from repro.reservoir.modular import ModularDFR
 from repro.reservoir.nonlinearity import NONLINEARITIES, get_nonlinearity
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import as_batch, ensure_1d_labels
+from repro.utils.validation import as_batch, check_document, ensure_1d_labels
 
 __all__ = [
     "DFRFeatureExtractor",
@@ -287,42 +287,18 @@ class ExtractorConfig:
         release must fail loudly here rather than build a subtly wrong
         extractor.
         """
-        if not isinstance(data, dict):
-            raise TypeError(
-                f"ExtractorConfig.from_dict needs a dict, got "
-                f"{type(data).__name__}"
-            )
-        expected = {
-            "version", "n_nodes", "nonlinearity", "normalize", "mask_kind",
-            "mask_gamma", "feature_batch_size", "mask_matrix", "mean", "std",
-            "backend", "dtype",
-        }
-        unknown = sorted(set(data) - expected)
-        missing = sorted(expected - set(data))
-        if unknown or missing:
-            parts = []
-            if unknown:
-                parts.append(f"unknown keys {unknown}")
-            if missing:
-                parts.append(f"missing keys {missing}")
-            raise ValueError(
-                f"ExtractorConfig snapshot does not match schema version "
-                f"{CONFIG_SCHEMA_VERSION}: {'; '.join(parts)}"
-            )
-        version = data["version"]
-        if version != CONFIG_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported ExtractorConfig schema version {version!r}; "
-                f"this release reads version {CONFIG_SCHEMA_VERSION} only"
-            )
+        check_document(
+            data,
+            {"version", "n_nodes", "nonlinearity", "normalize", "mask_kind",
+             "mask_gamma", "feature_batch_size", "mask_matrix", "mean", "std",
+             "backend", "dtype"},
+            what="ExtractorConfig snapshot", version=CONFIG_SCHEMA_VERSION,
+            version_key="version",
+        )
         nl_spec = data["nonlinearity"]
         if isinstance(nl_spec, dict):
-            extra = sorted(set(nl_spec) - {"name", "params"})
-            if extra or "name" not in nl_spec:
-                raise ValueError(
-                    f"nonlinearity entry must be {{'name', 'params'}}, got "
-                    f"keys {sorted(nl_spec)}"
-                )
+            check_document(nl_spec, {"name"}, what="nonlinearity entry",
+                           optional=("params",))
             nl_name = nl_spec["name"]
             if nl_name not in NONLINEARITIES:
                 raise ValueError(
@@ -346,7 +322,7 @@ class ExtractorConfig:
             std=np.asarray(data["std"], dtype=np.float64),
             backend=data["backend"],
             dtype=data["dtype"],
-            version=int(version),
+            version=int(data["version"]),
         )
 
     def build(self) -> DFRFeatureExtractor:

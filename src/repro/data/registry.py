@@ -56,6 +56,7 @@ import numpy as np
 
 from repro.data.metadata import DatasetSpec, get_spec
 from repro.data.synthetic import FAMILIES, generate_family
+from repro.utils.validation import check_document
 
 __all__ = [
     "SPEC_FORMAT",
@@ -117,33 +118,8 @@ class GeneratorSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
         """Rebuild from :meth:`to_dict` output — strictly versioned."""
-        if not isinstance(data, dict):
-            raise TypeError(
-                f"GeneratorSpec.from_dict needs a dict, got "
-                f"{type(data).__name__}"
-            )
-        unknown = sorted(set(data) - _ENVELOPE_KEYS)
-        missing = sorted(_ENVELOPE_KEYS - set(data))
-        if unknown or missing:
-            parts = []
-            if unknown:
-                parts.append(f"unknown keys {unknown}")
-            if missing:
-                parts.append(f"missing keys {missing}")
-            raise ValueError(
-                f"dataset spec does not match the {SPEC_FORMAT} "
-                f"v{SPEC_FORMAT_VERSION} envelope: {'; '.join(parts)}"
-            )
-        if data["format"] != SPEC_FORMAT:
-            raise ValueError(
-                f"not a {SPEC_FORMAT} document (format={data['format']!r})"
-            )
-        if data["format_version"] != SPEC_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported {SPEC_FORMAT} format_version "
-                f"{data['format_version']!r}; this release reads version "
-                f"{SPEC_FORMAT_VERSION} only"
-            )
+        check_document(data, _ENVELOPE_KEYS, what="dataset spec",
+                       fmt=SPEC_FORMAT, version=SPEC_FORMAT_VERSION)
         if not isinstance(data["params"], dict):
             raise TypeError(
                 f"spec params must be a dict, got "

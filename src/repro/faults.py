@@ -58,6 +58,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.utils.validation import check_document
+
 __all__ = [
     "FAULT_PLAN_ENV",
     "PLAN_FORMAT",
@@ -93,9 +95,6 @@ FAULT_KINDS = (
     "raise_sweep",
     "delay_tick",
 )
-
-_SPEC_KEYS = {"kind", "at", "times", "delay_ms"}
-_ENVELOPE_KEYS = {"format", "format_version", "seed", "faults"}
 
 
 class FaultInjected(RuntimeError):
@@ -147,13 +146,8 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultSpec":
-        if not isinstance(payload, dict):
-            raise ValueError(f"fault spec must be a dict, got {type(payload)}")
-        unknown = set(payload) - _SPEC_KEYS
-        if unknown:
-            raise ValueError(f"unknown fault spec keys: {sorted(unknown)}")
-        if "kind" not in payload or "at" not in payload:
-            raise ValueError("fault spec requires 'kind' and 'at'")
+        check_document(payload, {"kind", "at"}, what="fault spec",
+                       optional=("times", "delay_ms"))
         return cls(
             kind=payload["kind"],
             at=payload["at"],
@@ -199,22 +193,9 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        if not isinstance(payload, dict):
-            raise ValueError(f"fault plan must be a dict, got {type(payload)}")
-        missing = _ENVELOPE_KEYS - set(payload)
-        if missing:
-            raise ValueError(f"fault plan missing keys: {sorted(missing)}")
-        unknown = set(payload) - _ENVELOPE_KEYS
-        if unknown:
-            raise ValueError(f"unknown fault plan keys: {sorted(unknown)}")
-        if payload["format"] != PLAN_FORMAT:
-            raise ValueError(
-                f"expected format {PLAN_FORMAT!r}, got {payload['format']!r}"
-            )
-        if payload["format_version"] != PLAN_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported fault plan version {payload['format_version']!r}"
-            )
+        check_document(payload, {"format", "format_version", "seed", "faults"},
+                       what="fault plan", fmt=PLAN_FORMAT,
+                       version=PLAN_FORMAT_VERSION)
         if not isinstance(payload["faults"], list):
             raise ValueError("fault plan 'faults' must be a list")
         return cls(

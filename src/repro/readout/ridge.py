@@ -37,7 +37,7 @@ import scipy.linalg
 from repro.data.preprocessing import stratified_split
 from repro.readout.softmax import cross_entropy, one_hot, softmax
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import ensure_1d_labels
+from repro.utils.validation import check_document, ensure_1d_labels
 
 __all__ = [
     "RidgeModel",
@@ -115,25 +115,9 @@ class RidgeModel:
         Unknown or missing keys raise ``ValueError`` so a snapshot written
         by an incompatible release fails loudly instead of scoring wrong.
         """
-        if not isinstance(data, dict):
-            raise TypeError(
-                f"RidgeModel.from_dict needs a dict, got "
-                f"{type(data).__name__}"
-            )
-        expected = {"beta", "coef", "intercept", "feature_mean",
-                    "feature_std", "n_classes"}
-        unknown = sorted(set(data) - expected)
-        missing = sorted(expected - set(data))
-        if unknown or missing:
-            parts = []
-            if unknown:
-                parts.append(f"unknown keys {unknown}")
-            if missing:
-                parts.append(f"missing keys {missing}")
-            raise ValueError(
-                f"RidgeModel snapshot does not match schema: "
-                f"{'; '.join(parts)}"
-            )
+        check_document(data, {"beta", "coef", "intercept", "feature_mean",
+                              "feature_std", "n_classes"},
+                       what="RidgeModel snapshot")
         return cls(
             beta=float(data["beta"]),
             coef=np.asarray(data["coef"], dtype=np.float64),

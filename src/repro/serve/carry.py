@@ -14,7 +14,7 @@ declared boundaries:
   idle eviction (float64 lists; CPython ``json`` round-trips finite
   doubles exactly, so NumPy carries restore *bit for bit* through the
   same convention as the :mod:`~repro.serve.model_store` envelope);
-* :meth:`from_host_doc` — the reverse, re-materializing a snapshot as
+* :func:`carry_from_doc` — the reverse, re-materializing a snapshot as
   backend-native arrays via ``asarray`` (an input boundary, like a chunk
   upload).
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.backend import ArrayBackend
 from repro.reservoir.modular import StreamingResult
+from repro.utils.validation import check_document
 
 __all__ = ["CarryStore", "carry_to_doc", "carry_from_doc"]
 
@@ -68,11 +69,7 @@ def carry_from_doc(backend: ArrayBackend,
     """Rebuild a backend-native batch-1 carry from :func:`carry_to_doc`."""
     if doc is None:
         return None
-    if not isinstance(doc, dict) or set(doc) != _CARRY_KEYS:
-        raise ValueError(
-            f"carry snapshot must have keys {sorted(_CARRY_KEYS)}, got "
-            f"{sorted(doc) if isinstance(doc, dict) else type(doc).__name__}"
-        )
+    check_document(doc, _CARRY_KEYS, what="carry snapshot")
 
     def native(value):
         return backend.asarray(np.asarray(value, dtype=np.float64)[None])
@@ -124,12 +121,6 @@ class CarryStore:
     def to_host_doc(self, session_id: str) -> Optional[dict]:
         """Checkpoint one session's carry (see :func:`carry_to_doc`)."""
         return carry_to_doc(self.backend, self._carries.get(session_id))
-
-    def from_host_doc(self, session_id: str, doc: Optional[dict]) -> None:
-        """Restore one session's carry (see :func:`carry_from_doc`)."""
-        carry = carry_from_doc(self.backend, doc)
-        if carry is not None:
-            self._carries[session_id] = carry
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"CarryStore(key={self.key!r}, sessions={len(self._carries)})"

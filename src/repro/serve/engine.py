@@ -85,7 +85,7 @@ import numpy as np
 from repro import faults
 from repro.backend import default_backend, resolve_backend
 from repro.reservoir.modular import StreamingResult, _copy_array
-from repro.serve.carry import CarryStore
+from repro.serve.carry import CarryStore, carry_from_doc
 from repro.serve.model_store import ServableModel
 from repro.serve.scheduler import (
     DeadlineScheduler,
@@ -93,7 +93,7 @@ from repro.serve.scheduler import (
     resolve_idle_ttl_ms,
 )
 from repro.serve.session import PendingChunk, StreamSession
-from repro.utils.validation import check_at_least, env_knob
+from repro.utils.validation import check_at_least, check_document, env_knob
 
 __all__ = [
     "SERVE_MAX_BATCH_ENV",
@@ -559,34 +559,13 @@ class ServeEngine:
 
         The document must target a *currently deployed* model whose
         pipeline fingerprint matches the checkpoint — restoring a carry
-        into different numerics would serve subtly wrong scores.
+        into different numerics would serve subtly wrong scores — and
+        whose carry fits the engine window and the model's node count.
+        Every check runs before the session is registered, so a refused
+        restore leaves the engine unchanged.
         """
-        if not isinstance(doc, dict):
-            raise TypeError(
-                f"restore_session needs a dict, got {type(doc).__name__}"
-            )
-        unknown = sorted(set(doc) - _SESSION_KEYS)
-        missing = sorted(_SESSION_KEYS - set(doc))
-        if unknown or missing:
-            parts = []
-            if unknown:
-                parts.append(f"unknown keys {unknown}")
-            if missing:
-                parts.append(f"missing keys {missing}")
-            raise ValueError(
-                f"session document does not match the {SESSION_FORMAT} "
-                f"v{SESSION_FORMAT_VERSION} envelope: {'; '.join(parts)}"
-            )
-        if doc["format"] != SESSION_FORMAT:
-            raise ValueError(
-                f"not a {SESSION_FORMAT} document (format={doc['format']!r})"
-            )
-        if doc["format_version"] != SESSION_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported {SESSION_FORMAT} format_version "
-                f"{doc['format_version']!r}; this release reads version "
-                f"{SESSION_FORMAT_VERSION} only"
-            )
+        check_document(doc, _SESSION_KEYS, what="session document",
+                       fmt=SESSION_FORMAT, version=SESSION_FORMAT_VERSION)
         with self._lock:
             session_id = str(doc["session_id"])
             if session_id in self._sessions:
@@ -611,6 +590,19 @@ class ServeEngine:
                     f"checkpoint was taken at window {doc['window']}, "
                     f"engine runs window {self.window}"
                 )
+            carry = carry_from_doc(self.backend, doc["carry"])
+            if carry is not None:
+                w, nx = self.window, int(dep.model.config.n_nodes)
+                want = [(w + 1, nx), (w, nx), (nx, nx), (nx,)]
+                got = [tuple(a.shape[1:]) for a in (
+                    carry.window_states, carry.window_pre_activations,
+                    *carry.dprr_sums)]
+                if got != want:
+                    raise ValueError(
+                        f"checkpoint carry shapes {got} (ring, "
+                        f"pre-activations, p_sum, s_sum) do not fit window "
+                        f"{w} and {nx} nodes; expected {want}"
+                    )
             sess = StreamSession(
                 session_id, model_name,
                 deadline_ms=float(doc["deadline_ms"]),
@@ -619,7 +611,8 @@ class ServeEngine:
             sess.n_steps = int(doc["n_steps"])
             sess.next_seq = int(doc["next_seq"])
             self._sessions[session_id] = sess
-            self._carries.from_host_doc(session_id, doc["carry"])
+            if carry is not None:
+                self._carries.put(session_id, carry)
             self._evicted.pop(session_id, None)
             self._retired.pop(session_id, None)
             self.total_restores += 1
@@ -881,33 +874,15 @@ class ServeEngine:
                 if (sess is None or sess.in_flight or not sess.pending
                         or not sess.head.has_deadline):
                     continue
-                self._scheduler.remove(sid)
-                chunk = sess.drop_head(now)
-                self._results.append(ChunkResult(
-                    session_id=sid,
-                    model_name=sess.model_name,
-                    seq=chunk.seq,
-                    n_steps=sess.n_steps,
-                    features=np.zeros(0),
-                    scores=None,
-                    label=None,
-                    diverged=False,
-                    arrival=chunk.arrival,
-                    completed=now,
-                    batch_sessions=0,
-                    batch_models=0,
-                    deadline=chunk.deadline,
-                    error=(
-                        f"Overloaded: chunk seq={chunk.seq} missed its "
-                        f"deadline by more than shed_after_ms="
-                        f"{self.shed_after_ms:g}; shed without compute"
-                    ),
+                self._drop_head_as_error(
+                    sess, now,
+                    f"Overloaded: chunk seq={sess.head.seq} missed its "
+                    f"deadline by more than shed_after_ms="
+                    f"{self.shed_after_ms:g}; shed without compute",
                     shed=True,
-                ))
+                )
                 report.shed += 1
                 self.total_shed += 1
-                if sess.pending:
-                    self._schedule_head(sess)
                 shed_any = True
             if not shed_any:
                 return
@@ -1001,11 +976,25 @@ class ServeEngine:
         sess = self._sessions.get(session_id)
         if sess is None or not sess.pending:
             return
-        self._scheduler.remove(session_id)
-        now = self._clock()
+        self._drop_head_as_error(
+            sess, self._clock(),
+            f"sweep failed after {1 + self.sweep_retries} fused "
+            f"attempt(s) and a serial retry: "
+            f"{type(error).__name__}: {error}",
+        )
+        report.failed_chunks += 1
+        self.total_failed_chunks += 1
+
+    def _drop_head_as_error(self, sess: StreamSession, now: float, error: str,
+                            *, shed: bool = False) -> None:
+        """Resolve ``sess``'s head chunk as an ``error`` result (lock held).
+
+        The shed and failed-sweep paths share it; the carry is untouched.
+        """
+        self._scheduler.remove(sess.session_id)
         chunk = sess.drop_head(now)
         self._results.append(ChunkResult(
-            session_id=session_id,
+            session_id=sess.session_id,
             model_name=sess.model_name,
             seq=chunk.seq,
             n_steps=sess.n_steps,
@@ -1018,14 +1007,9 @@ class ServeEngine:
             batch_sessions=0,
             batch_models=0,
             deadline=chunk.deadline if chunk.has_deadline else None,
-            error=(
-                f"sweep failed after {1 + self.sweep_retries} fused "
-                f"attempt(s) and a serial retry: "
-                f"{type(error).__name__}: {error}"
-            ),
+            error=error,
+            shed=shed,
         ))
-        report.failed_chunks += 1
-        self.total_failed_chunks += 1
         if sess.pending:
             self._schedule_head(sess)
 

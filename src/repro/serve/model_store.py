@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.pipeline import ExtractorConfig
 from repro.readout.ridge import RidgeModel
+from repro.utils.validation import check_document
 
 __all__ = [
     "MODEL_FORMAT",
@@ -121,33 +122,8 @@ class ServableModel:
     @classmethod
     def from_dict(cls, data: dict) -> "ServableModel":
         """Rebuild from :meth:`to_dict` output — strictly versioned."""
-        if not isinstance(data, dict):
-            raise TypeError(
-                f"ServableModel.from_dict needs a dict, got "
-                f"{type(data).__name__}"
-            )
-        unknown = sorted(set(data) - _ENVELOPE_KEYS)
-        missing = sorted(_ENVELOPE_KEYS - set(data))
-        if unknown or missing:
-            parts = []
-            if unknown:
-                parts.append(f"unknown keys {unknown}")
-            if missing:
-                parts.append(f"missing keys {missing}")
-            raise ValueError(
-                f"model document does not match the {MODEL_FORMAT} "
-                f"v{MODEL_FORMAT_VERSION} envelope: {'; '.join(parts)}"
-            )
-        if data["format"] != MODEL_FORMAT:
-            raise ValueError(
-                f"not a {MODEL_FORMAT} document (format={data['format']!r})"
-            )
-        if data["format_version"] != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported {MODEL_FORMAT} format_version "
-                f"{data['format_version']!r}; this release reads version "
-                f"{MODEL_FORMAT_VERSION} only"
-            )
+        check_document(data, _ENVELOPE_KEYS, what="model document",
+                       fmt=MODEL_FORMAT, version=MODEL_FORMAT_VERSION)
         readout = data["readout"]
         return cls(
             name=str(data["name"]),

@@ -21,7 +21,7 @@ Two additional drivers share the trace format:
   to the next, so a trace that *describes* seconds of traffic replays in
   milliseconds of CPU with fully deterministic latencies — deadline
   semantics (EDF packing, slack-margin firing, violations) are exercised
-  exactly, which is what the CI smoke leg runs;
+  exactly, which is what the replay tests pin;
 * :func:`replay_async` drives an :class:`~repro.serve.async_engine.
   AsyncServeEngine` on the real clock: arrivals become ``asyncio.sleep``
   delays and completions are awaited futures, measuring what the
@@ -410,8 +410,8 @@ def _replay_virtual(
     Time never idles: it jumps to the earlier of the next arrival and the
     next scheduled fire point (earliest deadline minus the slack margin),
     ticking at each stop.  A trace describing minutes of traffic replays
-    in however long the sweeps themselves take — this is the CI smoke
-    path for the deadline machinery.
+    in however long the sweeps themselves take — this is how the tests
+    exercise the deadline machinery.
     """
     vclock = VirtualClock()
     engine.set_clock(vclock)

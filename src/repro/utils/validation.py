@@ -8,7 +8,8 @@ The conventions enforced here are global to the package:
 * labels are 1-D integer arrays of shape ``(N,)``.
 
 :func:`env_knob` is the one place a ``REPRO_*`` environment variable is
-read, parsed, bounded and reported.
+read, parsed, bounded and reported; :func:`check_document` is the one
+place a persisted JSON document's envelope is checked.
 """
 
 from __future__ import annotations
@@ -73,6 +74,38 @@ def check_choice(value, choices, *, name: str) -> str:
             f"{name} must be one of {', '.join(choices)}; got {value!r}"
         )
     return value
+
+
+def check_document(doc, keys, *, what: str, fmt=None, version=None,
+                   version_key: str = "format_version", optional=()) -> None:
+    """Validate a persisted document's envelope strictly.
+
+    ``doc`` must be a dict (else ``TypeError``) holding every key of
+    ``keys``, any of ``optional`` and nothing else; when given, its
+    ``format`` must equal ``fmt`` and its ``version_key`` entry must equal
+    ``version``.  Each failure raises ``ValueError`` naming ``what`` and
+    the offending keys or value, so a document written by an incompatible
+    release fails loudly instead of loading as something subtly wrong.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be a dict, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys) - set(optional))
+    missing = sorted(set(keys) - set(doc))
+    if unknown or missing:
+        parts = [f"{kind} keys {names}" for kind, names
+                 in (("unknown", unknown), ("missing", missing)) if names]
+        raise ValueError(
+            f"{what} does not match its schema: {'; '.join(parts)}"
+        )
+    if fmt is not None and doc["format"] != fmt:
+        raise ValueError(
+            f"{what} is not a {fmt} document (format={doc['format']!r})"
+        )
+    if version is not None and doc[version_key] != version:
+        raise ValueError(
+            f"unsupported {what} schema version: {version_key}="
+            f"{doc[version_key]!r}; this release reads version {version} only"
+        )
 
 
 def env_knob(value, env_var: str, parse, default, check=None, *,

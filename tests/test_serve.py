@@ -854,6 +854,39 @@ class TestCheckpointRestore:
         assert engine.evicted_sessions() == []
 
 
+class TestRestoreIsAllOrNothing:
+    """A refused restore leaves the engine as it was (never drain after)."""
+
+    @staticmethod
+    def _closed_checkpoint(trained):
+        engine = ServeEngine()
+        engine.deploy(_model(trained))
+        sid = engine.open_session("m0")
+        engine.submit(sid, np.zeros((4, 2)))
+        engine.drain()
+        doc = engine.checkpoint_session(sid)
+        engine.close_session(sid)
+        return engine, doc
+
+    def test_carry_missing_a_key_registers_nothing(self, trained):
+        engine, doc = self._closed_checkpoint(trained)
+        carry = {k: v for k, v in doc["carry"].items() if k != "p_sum"}
+        with pytest.raises(ValueError, match="p_sum"):
+            engine.restore_session({**doc, "carry": carry})
+        assert engine.sessions() == []
+        assert engine.stats()["restores"] == 0
+        assert engine.restore_session(doc) == doc["session_id"]
+
+    def test_carry_shaped_for_another_window_is_refused(self, trained):
+        engine, doc = self._closed_checkpoint(trained)
+        ring = doc["carry"]["window_states"]
+        carry = {**doc["carry"], "window_states": ring + ring[:1]}
+        with pytest.raises(ValueError, match="window"):
+            engine.restore_session({**doc, "carry": carry})
+        assert engine.sessions() == []
+        assert engine.stats()["restores"] == 0
+
+
 # --------------------------------------------------------------------- #
 # virtual-clock replay (PR 9)
 # --------------------------------------------------------------------- #
