@@ -64,6 +64,10 @@ from repro.reservoir import (
     Tanh,
     get_nonlinearity,
 )
+from repro.utils.blas import pin_blas_threads
+
+# after the imports above have loaded NumPy's and SciPy's OpenBLAS
+pin_blas_threads()
 
 __version__ = "1.0.0"
 

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List
 import numpy as np
 from scipy.signal import lfilter
 
-from repro.data.regression import mackey_glass_series, narma
+from repro.data.regression import mackey_glass_series, narma, narma_step
 from repro.data.registry import Generator, GeneratorSpec, register_generator
 from repro.utils.rng import ensure_rng, spawn_rng
 
@@ -127,15 +127,7 @@ class NarmaGenerator(Generator):
                 g = produced + j  # global stream index of this sample
                 if g >= order:
                     k = tail_len + j
-                    window_sum = y_ext[k - order: k].sum()
-                    val = (
-                        0.3 * y_ext[k - 1]
-                        + 0.05 * y_ext[k - 1] * window_sum
-                        + 1.5 * u_ext[k - order] * u_ext[k - 1] + 0.1
-                    )
-                    if not np.isfinite(val):  # pragma: no cover - defensive
-                        val = 0.0
-                    y_ext[k] = val
+                    y_ext[k] = narma_step(y_ext, u_ext, k - 1, order)
             lo = max(washout - produced, 0)
             if lo < m:
                 buf.push({"u": u_ext[tail_len + lo: tail_len + m],

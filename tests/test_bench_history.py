@@ -9,6 +9,7 @@ and ``--check`` must pass vacuously when nothing comparable exists.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,15 @@ class TestMatrixSuiteCondense:
         assert not bench_history.comparable(
             dict(old, suite="serve"), entry
         )
+
+
+class TestMachineFingerprint:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="needs os.sched_getaffinity")
+    def test_names_usable_cores_and_blas_threads(self, bench_history):
+        from repro.utils.blas import blas_threads
+
+        fingerprint = bench_history.machine_fingerprint()
+        assert fingerprint["cpu_count"] == os.cpu_count()
+        assert fingerprint["usable_cores"] == len(os.sched_getaffinity(0))
+        assert fingerprint["blas_threads"] == blas_threads()

@@ -72,6 +72,12 @@ class TestNarmaGeneral:
         assert u.shape == y.shape == (400,)
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(y))
 
+    @pytest.mark.parametrize("order", [2, 5, 10, 15, 20, 30])
+    def test_orders_produce_bounded_series(self, order):
+        """Orders above 10 saturate instead of overflowing to ~1e308."""
+        _, y = narma(400, order=order, seed=0)
+        assert 0.0 <= y.min() and y.max() < 2.0
+
     def test_orders_differ(self):
         _, y5 = narma(200, order=5, seed=0)
         _, y15 = narma(200, order=15, seed=0)

@@ -40,6 +40,7 @@ and passes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -69,25 +70,45 @@ def _git(*args: str) -> str:
         return ""
 
 
+@contextlib.contextmanager
+def _checkout_package():
+    """Import ``repro`` from this checkout's ``src`` inside the block."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        yield
+    finally:
+        sys.path.pop(0)
+
+
 def machine_fingerprint() -> dict:
-    """A stable description of the hardware/software running the suite."""
+    """A stable description of the hardware/software running the suite.
+
+    ``cpu_count`` is the host's core count; ``usable_cores`` is what this
+    process may run on (a cgroup or taskset limit shows only there), and
+    ``blas_threads`` the thread count of each OpenBLAS pool, which is part
+    of the numerics contract.  ``cpu_count`` is kept so the host reads the
+    same in older entries, which lack the other two keys and so compare
+    with no newer entry.
+    """
+    with _checkout_package():
+        from repro.utils.blas import blas_threads
     return {
         "hostname": platform.node(),
         "machine": platform.machine(),
         "system": platform.system(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "usable_cores": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "blas_threads": blas_threads(),
     }
 
 
 def _available_backends() -> list:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
+    with _checkout_package():
         from repro.backend import available_backends
 
         return available_backends()
-    finally:
-        sys.path.pop(0)
 
 
 def _suite_env() -> dict:
