@@ -311,7 +311,9 @@ class BackpropTrainer:
                 n_skipped += 1
                 self._pull_back(params)
                 continue
-            feats = self.dprr.features(trace)[0]
+            # the seed's einsum, not the batched GEMM: the pinned
+            # trajectory depends on its order of summation
+            feats = self.dprr.reference_features(trace)[0]
             win = trace.final_window(backward_window, copy=False)
             grads_out = self.engine.sample_gradients(
                 win.window_states[0],

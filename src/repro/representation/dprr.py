@@ -21,10 +21,22 @@ on long-series datasets.  ``normalize="length"`` divides by ``T``; the
 constant is carried through the analytic backward pass, so gradients are
 exact either way.
 
-The contraction is a single ``einsum`` plus a sum, so :meth:`DPRR.features`
-routes through an :class:`~repro.backend.ArrayBackend` — inferred from the
-source arrays by default, so a device-resident reservoir trace stays on its
-device all the way to the feature matrix.
+Contraction
+-----------
+:meth:`DPRR.features` computes the lag-1 block as ``x_kᵀ @ x_prev``: one
+``(N_x, T) @ (T, N_x)`` matrix product per sample (and per candidate, for
+a stacked trace), routed through an :class:`~repro.backend.ArrayBackend`
+— inferred from the source arrays by default, so a device-resident
+reservoir trace stays on its device all the way to the feature matrix.
+NumPy hands each slice to one BLAS GEMM, so a sample's features have the
+same bits whatever the batch size, candidate count or chunking, given one
+BLAS thread and the same OpenBLAS kernel (docs/ARCHITECTURE.md, "The DPRR
+contraction").
+
+:meth:`DPRR.reference_features` keeps the seed's ``einsum``, which NumPy
+runs as its own unbuffered summation loop, many times slower than the
+GEMM on a batch.  The paper's per-sample SGD (``batch_size=1``) runs on
+it, and its trajectory is pinned bit for bit; the two agree to rounding.
 """
 
 from __future__ import annotations
@@ -99,10 +111,34 @@ class DPRR:
                 )
             p_acc, s_acc = source.dprr_sums
             xb = infer_backend(p_acc) if backend is None else resolve_backend(backend)
-            p_flat = p_acc.reshape(tuple(p_acc.shape[:-2]) + (-1,))
-            raw = xb.concatenate([p_flat, s_acc], axis=-1)
-            return raw * self.scale(source.n_steps)
+            return self._assemble(xb, p_acc, s_acc, source.n_steps)
 
+        xb, states = self._states(source, backend)
+        x_k = states[..., 1:, :]   # x(1) .. x(T)
+        # one (N_x, T) @ (T, N_x) GEMM per sample slice; the leading axes
+        # cover the samples and, for a stacked trace, the candidates
+        p_mat = xb.swapaxes(x_k, -1, -2) @ states[..., :-1, :]
+        return self._assemble(xb, p_mat, xb.sum(x_k, axis=-2), x_k.shape[-2])
+
+    def reference_features(
+        self, source: Union[ReservoirTrace, np.ndarray],
+    ) -> np.ndarray:
+        """DPRR features through the seed's ``einsum`` contraction.
+
+        Same input and output as :meth:`features` for a trace, on the
+        source's own backend.  This is the paper's per-sample SGD path
+        (``BackpropTrainer`` at ``batch_size=1``): its trajectory is pinned
+        bit for bit to this order of summation, so it does not share the
+        GEMM of :meth:`features`, which agrees with it to rounding.
+        """
+        xb, states = self._states(source, None)
+        x_k = states[..., 1:, :]
+        p_mat = xb.einsum("...ti,...tj->...ij", x_k, states[..., :-1, :])
+        return self._assemble(xb, p_mat, xb.sum(x_k, axis=-2), x_k.shape[-2])
+
+    @staticmethod
+    def _states(source, backend):
+        """The ``(backend, states)`` pair of a trace or raw state array."""
         states = source.states if isinstance(source, ReservoirTrace) else source
         xb = infer_backend(states) if backend is None else resolve_backend(backend)
         states = xb.asarray(states)
@@ -112,18 +148,15 @@ class DPRR:
                 f"(K, N, T+1, N_x) for a candidate-stacked trace — got "
                 f"{states.shape}"
             )
-        t_len = states.shape[-2] - 1
-        if t_len < 1:
+        if states.shape[-2] < 2:
             raise ValueError("need at least one time step")
-        x_k = states[..., 1:, :]   # x(1) .. x(T)
-        x_prev = states[..., :-1, :]  # x(0) .. x(T-1)
-        # the ellipsis covers the sample axis — and, for a stacked trace,
-        # the candidate axis in front of it — in one contraction
-        p_mat = xb.einsum("...ti,...tj->...ij", x_k, x_prev)
-        s_vec = xb.sum(x_k, axis=-2)
+        return xb, states
+
+    def _assemble(self, xb, p_mat, s_vec, n_steps: int):
+        """Lay out ``[vec(P), s]`` (paper Eqs. 18–19) and apply the scale."""
         p_flat = p_mat.reshape(tuple(p_mat.shape[:-2]) + (-1,))
         raw = xb.concatenate([p_flat, s_vec], axis=-1)
-        return raw * self.scale(t_len)
+        return raw * self.scale(n_steps)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"DPRR(normalize={self.normalize!r})"

@@ -7,9 +7,9 @@ Three layers of guarantees:
   :class:`~repro.backend.BackendUnavailableError` when a requested
   library is missing (no silent NumPy fallback);
 * **NumPy bit-identity** — routing the batched hot path through the
-  explicit :class:`~repro.backend.NumpyBackend` reproduces the
-  pre-backend implementation *bit for bit* (golden values below are
-  ``float.hex()`` captures from the historical code), and the ``backend``
+  explicit :class:`~repro.backend.NumpyBackend` reproduces pinned
+  ``float.hex()`` goldens *bit for bit* (see ``TestNumpyBitIdentity`` for
+  when each was captured), and the ``backend``
   knob threaded through ``TrainerConfig`` / ``DFRFeatureExtractor`` /
   ``BackendExecutor`` is a no-op for ``"numpy"``;
 * **cross-backend parity** — every non-NumPy backend importable on this
@@ -151,27 +151,41 @@ def _batch_grads(backend, window=3):
 
 
 class TestNumpyBitIdentity:
-    """``REPRO_BACKEND=numpy`` output is bit-identical to pre-shim code.
+    """``REPRO_BACKEND=numpy`` output is bit-pinned.
 
-    The hex literals were captured from the implementation *before* the
-    backend shim existed; exact (``==``) comparison pins that the NumPy
-    backend performs the same operations in the same order.
+    Exact (``==``) comparison against ``float.hex()`` literals pins that the
+    NumPy backend performs the same operations in the same order.  The
+    losses, ``d_bias`` and the two sums were captured before the backend
+    shim existed.  ``d_A``, ``d_B`` and the ``d_weights`` norm were
+    re-captured when the batched DPRR contraction became one BLAS GEMM per
+    sample (docs/ARCHITECTURE.md, "The DPRR contraction"); like the
+    readout's GEMM, they assume one BLAS thread and the same OpenBLAS
+    kernel.  The ``PRE_GEMM_*`` literals are their values under the seed's
+    ``einsum`` contraction, still held at rounding distance.
     """
 
     GOLDEN_LOSSES = ['0x1.714451e888be2p+0', '0x1.5c15b252cc385p+0',
                      '0x1.39fa1f1d30d5cp+0', '0x1.4719e32817829p+0',
                      '0x1.334c713d77031p+0', '0x1.590b05b10fae4p+0']
     GOLDEN_D_A = ['0x1.794ffe5cb1252p-3', '0x1.3d5b75077d3cap-3',
-                  '-0x1.46af63725e7f3p-4', '-0x1.51aa18b51150ep-3',
-                  '-0x1.ad944d5093459p-5', '-0x1.2ba90f4361512p-3']
+                  '-0x1.46af63725e7f3p-4', '-0x1.51aa18b51150dp-3',
+                  '-0x1.ad944d5093459p-5', '-0x1.2ba90f4361513p-3']
     GOLDEN_D_B = ['-0x1.3bf2e2ded919fp-9', '0x1.6c35bc75c4233p-4',
-                  '0x1.0ea3e131c6b70p-7', '-0x1.ba53cd337b146p-7',
+                  '0x1.0ea3e131c6b70p-7', '-0x1.ba53cd337b141p-7',
                   '-0x1.4bf28a4be62d1p-6', '-0x1.5910f02ecb486p-6']
     GOLDEN_D_BIAS = ['-0x1.037f64d6a2bf5p-2', '0x1.1862ca884483fp-2',
                      '0x1.e64b4258d27e8p-3', '-0x1.080906de0b03dp-2']
     GOLDEN_STATES_SUM = '0x1.2bdc2e9a5e980p+5'
     GOLDEN_FEATS_SUM = '0x1.87f0e189d36e0p+8'
-    GOLDEN_DW_FROB = '0x1.f70613ff9f372p+2'
+    GOLDEN_DW_FROB = '0x1.f70613ff9f373p+2'
+
+    PRE_GEMM_D_A = ['0x1.794ffe5cb1252p-3', '0x1.3d5b75077d3cap-3',
+                    '-0x1.46af63725e7f3p-4', '-0x1.51aa18b51150ep-3',
+                    '-0x1.ad944d5093459p-5', '-0x1.2ba90f4361512p-3']
+    PRE_GEMM_D_B = ['-0x1.3bf2e2ded919fp-9', '0x1.6c35bc75c4233p-4',
+                    '0x1.0ea3e131c6b70p-7', '-0x1.ba53cd337b146p-7',
+                    '-0x1.4bf28a4be62d1p-6', '-0x1.5910f02ecb486p-6']
+    PRE_GEMM_DW_FROB = '0x1.f70613ff9f372p+2'
 
     @staticmethod
     def _unhex(values):
@@ -190,8 +204,14 @@ class TestNumpyBitIdentity:
         np.testing.assert_array_equal(g.d_A, self._unhex(self.GOLDEN_D_A))
         np.testing.assert_array_equal(g.d_B, self._unhex(self.GOLDEN_D_B))
         np.testing.assert_array_equal(g.d_bias, self._unhex(self.GOLDEN_D_BIAS))
-        assert float(np.sqrt((g.d_weights ** 2).sum())) == \
-            float.fromhex(self.GOLDEN_DW_FROB)
+        dw_frob = float(np.sqrt((g.d_weights ** 2).sum()))
+        assert dw_frob == float.fromhex(self.GOLDEN_DW_FROB)
+        np.testing.assert_allclose(g.d_A, self._unhex(self.PRE_GEMM_D_A),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(g.d_B, self._unhex(self.PRE_GEMM_D_B),
+                                   rtol=1e-14)
+        assert dw_frob == pytest.approx(float.fromhex(self.PRE_GEMM_DW_FROB),
+                                        rel=1e-14)
 
     def test_streaming_matches_full_trace_backend_routed(self):
         rng = np.random.default_rng(5)
@@ -319,6 +339,18 @@ class TestBackendParity:
         np.testing.assert_allclose(xb.to_numpy(got.states), ref.states,
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(got.diverged, ref.diverged)
+
+    def test_dprr_features_parity(self, name, rng):
+        """The GEMM contraction on the device, plain and candidate-stacked."""
+        xb = _require(name)
+        dprr = DPRR()
+        for shape in ((4, 21, 6), (3, 4, 21, 6)):
+            states = rng.normal(size=shape)
+            states[..., 0, :] = 0.0
+            got = dprr.features(xb.asarray(states))
+            assert not isinstance(got, np.ndarray)  # stays on the device
+            np.testing.assert_allclose(xb.to_numpy(got), dprr.features(states),
+                                       rtol=1e-12, atol=1e-14)
 
     def test_structural_ops_roundtrip(self, name, rng):
         xb = _require(name)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import NumpyBackend
 from repro.representation.baselines import LastState, MeanState, SubsampledStates
 from repro.representation.dprr import DPRR
 from repro.reservoir.masking import InputMask
@@ -47,6 +48,79 @@ def test_vectorized_matches_naive_property(t_len, nx, seed):
     np.testing.assert_allclose(
         DPRR(normalize=None).features(states), naive_dprr(states), rtol=1e-10
     )
+
+
+def test_candidate_stacked_matches_naive_reference(rng):
+    stacked = np.stack([_random_trace(rng, n=3, t_len=11, nx=4)
+                        for _ in range(2)])        # (K, N, T+1, N_x)
+    feats = DPRR(normalize=None).features(stacked)
+    assert feats.shape == (2, 3, 20)
+    for k in range(2):
+        np.testing.assert_allclose(feats[k], naive_dprr(stacked[k]), rtol=1e-12)
+
+
+def test_float32_trace_stays_float32(rng):
+    mask = InputMask.binary(5, 2, seed=0)
+    trace = ModularDFR(mask).run(rng.normal(size=(3, 30, 2)), 0.3, 0.2,
+                                 backend=NumpyBackend(dtype="float32"))
+    assert trace.states.dtype == np.float32
+    feats = DPRR().features(trace)
+    assert feats.dtype == np.float32
+    want = naive_dprr(trace.states)  # float64 sums of the same float32 states
+    np.testing.assert_allclose(feats, want, rtol=1e-5,
+                               atol=1e-5 * np.abs(want).max())
+
+
+def test_sample_bits_independent_of_batch_and_stack(rng):
+    """One GEMM per sample: a row's bits never depend on its neighbours."""
+    stacked = np.stack([_random_trace(rng, n=6, t_len=40, nx=7)
+                        for _ in range(3)])
+    feats = DPRR().features(stacked)
+    for k in range(3):
+        np.testing.assert_array_equal(DPRR().features(stacked[k]), feats[k])
+        np.testing.assert_array_equal(
+            DPRR().features(stacked[k, 2:5]), feats[k, 2:5])
+        for i in range(6):
+            np.testing.assert_array_equal(
+                DPRR().features(stacked[k, i:i + 1])[0], feats[k, i])
+
+
+class TestReferenceContraction:
+    """``reference_features`` is the per-sample SGD's bit-pinned path."""
+
+    #: ``DPRR().features(trace)[0]`` of ``_trace()`` before the batched
+    #: contraction became a GEMM, when every path ran the seed's einsum
+    SEED_FEATURES = [
+        '0x1.0412a79ee2086p+0', '0x1.0759584775726p-1', '-0x1.bcb52a77e2463p-1',
+        '-0x1.36a920fe01d47p+0', '0x1.0a0f51ed7d46dp+1', '0x1.49b27f54b8492p+2',
+        '-0x1.4aee2960504e8p+0', '-0x1.5ef9aff0af345p+1', '-0x1.92dabca5730e9p+1',
+        '0x1.15479d8b9c5b0p-1', '0x1.dba0d90995137p+1', '0x1.20c27637147d3p+2',
+        '-0x1.3dc16c0204771p+2', '-0x1.2c1fd3f8aff66p+0', '0x1.5e509c5078848p+2',
+        '0x1.c64e98c824668p+2', '0x1.59844dec903c6p+1', '-0x1.ca11e4db100cap+1',
+        '-0x1.38cc9f509dacdp+2', '-0x1.4a21daf882a35p+2',
+    ]
+
+    @staticmethod
+    def _trace():
+        # one sample, as the per-sample trainer runs it
+        rng = np.random.default_rng(0)
+        dfr = ModularDFR(InputMask.binary(4, 2, seed=0))
+        return dfr.run(rng.normal(size=(1, 60, 2)), 0.3, 0.2)
+
+    def test_reference_keeps_the_seed_bits(self):
+        feats = DPRR().reference_features(self._trace())[0]
+        assert [float(v).hex() for v in feats] == self.SEED_FEATURES
+
+    def test_gemm_agrees_to_rounding(self, rng):
+        trace = self._trace()
+        np.testing.assert_allclose(DPRR().features(trace),
+                                   DPRR().reference_features(trace),
+                                   rtol=1e-12)
+        stacked = np.stack([_random_trace(rng) for _ in range(2)])
+        dprr = DPRR(normalize="length")
+        np.testing.assert_allclose(dprr.features(stacked),
+                                   dprr.reference_features(stacked),
+                                   rtol=1e-12)
 
 
 def test_feature_layout_matches_paper_indexing(rng):
