@@ -288,17 +288,22 @@ def batch_reservoir_backward(
         )
     if stacked:
         # scalars broadcast against the candidate axis, mirroring the
-        # mixed scalar/vector (A, B) the forward pass accepts
+        # mixed scalar/vector (A, B) the forward pass accepts; (K,) vectors
+        # skip broadcast_to, which is slow next to a minibatch step
+        a_vec = np.asarray(A, dtype=np.float64)
+        b_vec = np.asarray(B, dtype=np.float64)
         try:
-            a_vec = np.ascontiguousarray(np.broadcast_to(
-                np.asarray(A, dtype=np.float64), (lead[0],)))
-            b_vec = np.ascontiguousarray(np.broadcast_to(
-                np.asarray(B, dtype=np.float64), (lead[0],)))
+            if a_vec.shape != (lead[0],):
+                a_vec = np.broadcast_to(a_vec, (lead[0],))
+            if b_vec.shape != (lead[0],):
+                b_vec = np.broadcast_to(b_vec, (lead[0],))
         except ValueError:
             raise ValueError(
                 f"candidate-stacked inputs need (K,) = ({lead[0]},) parameter "
                 f"vectors (or scalars), got A {np.shape(A)} and B {np.shape(B)}"
             ) from None
+        a_vec = np.ascontiguousarray(a_vec)
+        b_vec = np.ascontiguousarray(b_vec)
         a_mul = xb.asarray(a_vec)[:, None, None]
         b_mul = xb.asarray(b_vec)[:, None, None]
     else:

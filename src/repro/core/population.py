@@ -18,13 +18,16 @@ Numerical contract (pinned by ``tests/test_population.py``):
   — :class:`PopulationTrainer` delegates to
   :class:`~repro.core.trainer.BackpropTrainer` outright, so the pinned
   NumPy reference trajectory is reproduced bit for bit;
-* with ``batch_size > 1``, member ``k`` of a fused K-member run is
-  bit-identical (on NumPy) to a sequential ``BackpropTrainer.fit`` started
-  from that member's ``(A, B)`` with the same seed — including optimizer
-  moments, learning-rate schedule state, divergence pull-backs, and the
-  gradient-clip arithmetic.  All members share one shuffle stream (common
-  random numbers): every member sees the same sample order each epoch,
-  which is what lets the forward/backward fuse, and is the usual
+* everything else — any population at ``batch_size > 1``, including the
+  population of one that ``BackpropTrainer.fit`` trains at that batch size
+  — runs :meth:`PopulationTrainer._fused_epoch` (docs/ARCHITECTURE.md,
+  "Where minibatch SGD runs"), and member ``k`` of a
+  fused K-member run is bit-identical (on NumPy) to a population of one
+  started from that member's ``(A, B)`` with the same seed — including
+  optimizer moments, learning-rate schedule state, divergence pull-backs,
+  and the gradient-clip arithmetic.  All members share one shuffle stream
+  (common random numbers): every member sees the same sample order each
+  epoch, which is what lets the forward/backward fuse, and is the usual
   variance-reduction choice when comparing restarts.
 
 Row-wise retirement: members whose ``(A, B)`` stopped moving (or that
@@ -309,12 +312,12 @@ class PopulationTrainer:
         self.backend = self.engine.backend
 
     # ------------------------------------------------------------------ #
-    # fused helpers (stacked twins of BackpropTrainer's private methods)  #
+    # fused helpers (stacked forms of BackpropTrainer's private methods)  #
     # ------------------------------------------------------------------ #
 
     def _pull_back_row(self, params: Dict[str, np.ndarray], row: int,
                        count: int) -> None:
-        """Row-wise twin of ``BackpropTrainer._pull_back``.
+        """Row-wise ``BackpropTrainer._pull_back``, ``count`` times over.
 
         Operates on a length-1 view so the in-place multiply and clip use
         the exact array arithmetic of the scalar trainer.
@@ -328,16 +331,17 @@ class PopulationTrainer:
 
     def _apply_update_stacked(self, params, grads, optimizer, lr_r, lr_o,
                               mask: Optional[np.ndarray]) -> None:
-        """Stacked twin of ``BackpropTrainer._apply_update``.
+        """Stacked ``BackpropTrainer._apply_update``: clip, step and clamp.
 
         Per-candidate clip norms, one stacked optimizer step (rows outside
         ``mask`` — members whose whole minibatch diverged — are untouched,
-        exactly as the sequential loop's ``continue``), then the parameter
-        box clamp.  ``lr_r``/``lr_o`` are per-candidate ``(K,)`` learning
-        rate vectors from the vectorized schedule lookup; the optimizers
-        broadcast them over each parameter's row tail.  Row ``k`` is
-        bit-identical to the scalar `_apply_update` on that member's
-        gradients.
+        as if the member skipped the step), then the parameter box clamp.
+        ``lr_r``/``lr_o`` are per-candidate ``(K,)`` learning rate vectors
+        from the vectorized schedule lookup; the optimizers broadcast them
+        over each parameter's row tail.  Row ``k`` is bit-identical to the
+        scalar ``_apply_update`` on that member's gradients, which the
+        minibatch goldens in ``tests/test_batched_training.py`` (recorded
+        from a scalar minibatch loop) hold.
         """
         cfg = self.config
         clip_gradients(grads, cfg.grad_clip, stacked=True)
@@ -357,15 +361,16 @@ class PopulationTrainer:
                      optimizer, backward_window, t_len, lr_r, lr_o):
         """One epoch of minibatch SGD for the whole active stack.
 
-        The stacked twin of ``BackpropTrainer._epoch_batched``: every
-        minibatch runs ONE vector-``(A, B)`` forward and one candidate-
-        stacked backward for all active members.  Members with diverged
-        samples in the minibatch leave the fused call and are handled
-        through the per-member path of the sequential trainer (same
-        pull-back, same valid-row sub-batch), slicing the already-computed
-        stacked trace — the stacked forward rows are bit-identical to
-        scalar runs, so the fallback reproduces the sequential arithmetic
-        exactly.
+        The one minibatch SGD loop (``batch_size > 1``, any population
+        size): every minibatch shares one ``(A, B)`` snapshot per member
+        and runs ONE vector-``(A, B)`` forward and one candidate-stacked
+        backward for all active members; gradients are averaged over each
+        member's non-diverged rows.  Members with diverged samples in the
+        minibatch leave the fused call: each diverged row pulls the
+        member's ``(A, B)`` back once, and its valid rows train as a
+        sub-batch sliced from the already-computed stacked trace — the
+        stacked forward rows are bit-identical to scalar runs, so a
+        member's arithmetic does not depend on its neighbours.
         """
         cfg = self.config
         xb = self.backend
@@ -382,6 +387,35 @@ class PopulationTrainer:
             div = np.asarray(trace.diverged)          # (K, n) — always NumPy
             n_div = div.sum(axis=1)
             win = trace.final_window(backward_window, copy=False)
+            if not n_div.any():
+                # no member diverged: the fused outputs are the gradients,
+                # with no scatter and no copies of the parameter stacks.
+                # `feats` stays bound until the next step's forward pass has
+                # allocated: freed earlier, glibc trims the heap top and that
+                # pass faults its trace in on fresh pages (K=8 JPVOW bench:
+                # 51k against 19k minor faults per fit)
+                feats = self.dprr.features(trace, backend=xb)
+                out = self.engine.batch_gradients(
+                    win.window_states, win.window_pre_activations, feats,
+                    readout_geom, targets[sel], a_snap, b_snap, n_steps=t_len,
+                    weights=params["W"], bias=params["b"],
+                )
+                for k, rows in enumerate(out.losses.tolist()):
+                    losses[k].extend(rows)
+                n_correct += np.count_nonzero(
+                    out.probs.argmax(axis=-1) == y[sel], axis=-1)
+                grads = {
+                    "A": out.d_A.mean(axis=-1),
+                    "B": out.d_B.mean(axis=-1),
+                    "W": out.d_weights,
+                    "b": out.d_bias,
+                }
+                # a float32 engine's gradients widen, as the scatter below does
+                grads = {name: g.astype(np.float64, copy=False)
+                         for name, g in grads.items()}
+                self._apply_update_stacked(params, grads, optimizer, lr_r,
+                                           lr_o, mask=None)
+                continue
             grads = {
                 "A": np.zeros(k_active),
                 "B": np.zeros(k_active),
@@ -391,20 +425,13 @@ class PopulationTrainer:
             step_mask = np.ones(k_active, dtype=bool)
             clean = np.flatnonzero(n_div == 0)
             if clean.size:
-                if clean.size == k_active:
-                    window_states = win.window_states
-                    window_pre = win.window_pre_activations
-                    feats = self.dprr.features(trace, backend=xb)
-                else:
-                    window_states = xb.take(win.window_states, clean, axis=0)
-                    window_pre = xb.take(win.window_pre_activations, clean,
-                                         axis=0)
-                    feats = self.dprr.features(
-                        xb.take(trace.states, clean, axis=0), backend=xb
-                    )
                 out = self.engine.batch_gradients(
-                    window_states, window_pre, feats, readout_geom,
-                    targets[sel], a_snap[clean], b_snap[clean],
+                    xb.take(win.window_states, clean, axis=0),
+                    xb.take(win.window_pre_activations, clean, axis=0),
+                    self.dprr.features(
+                        xb.take(trace.states, clean, axis=0), backend=xb
+                    ),
+                    readout_geom, targets[sel], a_snap[clean], b_snap[clean],
                     n_steps=t_len,
                     weights=params["W"][clean], bias=params["b"][clean],
                 )
@@ -423,8 +450,7 @@ class PopulationTrainer:
                 self._pull_back_row(params, k, count=n_div_k)
                 if n_div_k == sel.shape[0]:
                     # the whole minibatch diverged for this member: no
-                    # update at all this step (the sequential loop's
-                    # ``continue``)
+                    # update at all this step
                     step_mask[k] = False
                     continue
                 valid = np.flatnonzero(~div[k])

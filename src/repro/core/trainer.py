@@ -4,10 +4,10 @@ The training protocol reproduced here is exactly the paper's:
 
 * parameters ``A``, ``B`` initialized to 0.01 each, output layer ``W``, ``b``
   initialized to zeros;
-* per-sample stochastic gradient descent for 25 epochs
-  (``batch_size=1``; larger minibatches vectorize the identical gradients
-  over samples and average them, trading the paper's update granularity for
-  throughput);
+* per-sample stochastic gradient descent for 25 epochs (``batch_size=1``;
+  larger minibatches trade the paper's update granularity for throughput
+  and train as a population of one, see docs/ARCHITECTURE.md, "Where
+  minibatch SGD runs");
 * learning rates start at 1; the reservoir rate decays x0.1 at epochs
   5/10/15/20, the output rate at 10/15/20;
 * backpropagation truncated to the final reservoir state (``window=1``),
@@ -46,9 +46,9 @@ class TrainerConfig:
 
     epochs: int = 25
     #: samples per SGD update; 1 = the paper's per-sample protocol (kept
-    #: numerically identical to the original loop), > 1 runs the batched
-    #: engine: one vectorized forward/backward per minibatch, gradients
-    #: averaged over the batch's non-diverged rows
+    #: numerically identical to the original loop), > 1 = minibatch SGD,
+    #: gradients averaged over the batch's non-diverged rows (where it runs:
+    #: docs/ARCHITECTURE.md, "Where minibatch SGD runs")
     batch_size: int = 1
     lr_reservoir: float = 1.0
     lr_output: float = 1.0
@@ -74,13 +74,13 @@ class TrainerConfig:
     divergence_shrink: float = 0.7
     shuffle: bool = True
     optimizer: str = "sgd"
-    #: array backend for the *batched* engine (``batch_size > 1``): a name
+    #: array backend for minibatch SGD (``batch_size > 1``): a name
     #: such as "numpy" / "torch" / "torch:cuda:0" / "cupy", or None to
     #: defer to the ``REPRO_BACKEND`` environment variable (NumPy when
     #: unset).  The ``batch_size=1`` per-sample path is the paper's pinned
     #: NumPy reference and ignores this knob.
     backend: Optional[str] = None
-    #: working float precision of the batched engine: None defers to the
+    #: working float precision of minibatch SGD: None defers to the
     #: spec's ``@dtype`` suffix / ``REPRO_DTYPE`` (float64 when unset);
     #: "float32" opts into single precision (rtol-bounded, see
     #: docs/ARCHITECTURE.md).  The per-sample path stays float64.
@@ -138,6 +138,11 @@ class TrainingResult:
 class BackpropTrainer:
     """Trains ``(A, B, W, b)`` of a modular-DFR classifier by SGD.
 
+    :meth:`fit` runs the paper's per-sample loop at ``batch_size=1``; a
+    larger ``batch_size`` trains as a population of one in
+    :class:`~repro.core.population.PopulationTrainer` (docs/ARCHITECTURE.md,
+    "Where minibatch SGD runs").
+
     Parameters
     ----------
     reservoir:
@@ -167,24 +172,17 @@ class BackpropTrainer:
         self.dprr = dprr if dprr is not None else DPRR()
         self.config = config if config is not None else TrainerConfig()
         self.rng = ensure_rng(seed)
+        self._numpy = resolve_backend(None)
+        # the per-sample loop's engine; minibatch SGD builds its own
         self.engine = BackpropEngine(
             reservoir.nonlinearity, dprr=self.dprr, window=self.config.window,
-            backend=self.config.backend, dtype=self.config.dtype,
+            backend=self._numpy,
         )
-        #: backend executing the batched forward/backward (the per-sample
-        #: path always runs the NumPy reference)
-        self.backend = self.engine.backend
-        self._numpy = resolve_backend(None)
 
-    def _pull_back(self, params, count: int = 1) -> None:
-        """Shrink A and B after divergent forward passes (recovery guard).
-
-        ``count`` divergent samples apply the shrink ``count`` times, exactly
-        as the per-sample loop would have done one sample at a time.
-        """
-        shrink = self.config.divergence_shrink ** count
-        params["A"] *= shrink
-        params["B"] *= shrink
+    def _pull_back(self, params) -> None:
+        """Shrink A and B after a divergent forward pass (recovery guard)."""
+        params["A"] *= self.config.divergence_shrink
+        params["B"] *= self.config.divergence_shrink
         np.clip(params["A"], self.config.param_min, self.config.param_max,
                 out=params["A"])
         np.clip(params["B"], self.config.param_min, self.config.param_max,
@@ -192,7 +190,7 @@ class BackpropTrainer:
 
     def _apply_update(self, params, grads, optimizer, lr_r: float,
                       lr_o: float) -> None:
-        """Clip, step and clamp — shared by both execution paths."""
+        """Clip, step and clamp."""
         cfg = self.config
         clip_gradients(grads, cfg.grad_clip)
         if cfg.reservoir_grad_clip is not None:
@@ -217,6 +215,14 @@ class BackpropTrainer:
         y:
             Integer labels ``(N,)``.
         """
+        if self.config.batch_size > 1:
+            # imported here: population.py imports this module
+            from repro.core.population import PopulationTrainer
+
+            return PopulationTrainer(
+                self.reservoir, self.n_classes, dprr=self.dprr,
+                config=self.config, seed=self.rng,
+            ).fit(u, y).members[0].result
         start = time.perf_counter()
         u = as_batch(u)
         y = ensure_1d_labels(y, n_samples=u.shape[0])
@@ -245,11 +251,7 @@ class BackpropTrainer:
         }
         window = self.engine.effective_window(t_len)
         use_full_trace = cfg.window is None
-
         backward_window = t_len if use_full_trace else window
-        run_epoch = (
-            self._epoch_per_sample if cfg.batch_size == 1 else self._epoch_batched
-        )
 
         history: List[EpochStats] = []
         for epoch in range(1, cfg.epochs + 1):
@@ -258,7 +260,7 @@ class BackpropTrainer:
             order = self.rng.permutation(n_samples) if cfg.shuffle else np.arange(
                 n_samples
             )
-            losses, n_correct, n_skipped = run_epoch(
+            losses, n_correct, n_skipped = self._epoch_per_sample(
                 u, y, targets, order, params, readout, optimizer,
                 backward_window, t_len, lr_r, lr_o,
             )
@@ -331,75 +333,6 @@ class BackpropTrainer:
             grads = {
                 "A": np.array(grads_out.d_A),
                 "B": np.array(grads_out.d_B),
-                "W": grads_out.d_weights,
-                "b": grads_out.d_bias,
-            }
-            self._apply_update(params, grads, optimizer, lr_r, lr_o)
-        return losses, n_correct, n_skipped
-
-    def _epoch_batched(self, u, y, targets, order, params, readout,
-                       optimizer, backward_window, t_len, lr_r, lr_o):
-        """One epoch of minibatch SGD through the vectorized engine.
-
-        Every minibatch shares one ``(A, B)`` snapshot for its forward and
-        backward pass; gradients are averaged over the batch's non-diverged
-        rows, and each diverged row triggers the same pull-back the
-        per-sample loop would have applied for that sample.
-
-        Forward states, DPRR features and the backward pass all run on the
-        trainer's array backend (``TrainerConfig.backend``); the engine
-        hands back NumPy gradients, so the update step below is
-        backend-agnostic.
-        """
-        batch_size = self.config.batch_size
-        xb = self.backend
-        losses = []
-        n_correct = 0
-        n_skipped = 0
-        for start in range(0, order.shape[0], batch_size):
-            sel = order[start: start + batch_size]
-            a_val = float(params["A"])
-            b_val = float(params["B"])
-            trace = self.reservoir.run(u[sel], a_val, b_val, backend=xb)
-            diverged = trace.diverged
-            n_div = int(diverged.sum())
-            win = trace.final_window(backward_window, copy=False)
-            if n_div:
-                n_skipped += n_div
-                self._pull_back(params, count=n_div)
-                if n_div == sel.shape[0]:
-                    continue
-                # drop the diverged rows (this copies; the common all-valid
-                # case below stays on the no-copy views)
-                valid = np.flatnonzero(~diverged)
-                kept = sel[~diverged]
-                feats = self.dprr.features(
-                    xb.take(trace.states, valid, axis=0), backend=xb
-                )
-                window_states = xb.take(win.window_states, valid, axis=0)
-                window_pre = xb.take(win.window_pre_activations, valid, axis=0)
-            else:
-                kept = sel
-                feats = self.dprr.features(trace, backend=xb)
-                window_states = win.window_states
-                window_pre = win.window_pre_activations
-            grads_out = self.engine.batch_gradients(
-                window_states,
-                window_pre,
-                feats,
-                readout,
-                targets[kept],
-                a_val,
-                b_val,
-                n_steps=t_len,
-            )
-            losses.extend(grads_out.losses.tolist())
-            n_correct += int(
-                np.count_nonzero(grads_out.probs.argmax(axis=1) == y[kept])
-            )
-            grads = {
-                "A": np.array(grads_out.d_A.mean()),
-                "B": np.array(grads_out.d_B.mean()),
                 "W": grads_out.d_weights,
                 "b": grads_out.d_bias,
             }

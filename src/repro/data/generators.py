@@ -30,14 +30,19 @@ phase/envelope terms are computed from absolute stream indices.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 import numpy as np
 from scipy.signal import lfilter
 
-from repro.data.regression import mackey_glass_series, narma, narma_step
-from repro.data.registry import Generator, GeneratorSpec, register_generator
-from repro.utils.rng import ensure_rng, spawn_rng
+from repro.data.regression import mackey_glass_chunks, narma_chunks
+from repro.data.registry import (
+    Generator,
+    GeneratorSpec,
+    concat_chunks,
+    register_generator,
+)
+from repro.utils.rng import spawn_rng
 
 __all__ = [
     "NarmaGenerator",
@@ -48,33 +53,6 @@ __all__ = [
 ]
 
 
-class _ChunkBuffer:
-    """Re-chunk aligned per-key array pushes into exact ``chunk_len`` pieces."""
-
-    def __init__(self, keys, chunk_len: int):
-        self._parts: Dict[str, List[np.ndarray]] = {k: [] for k in keys}
-        self._count = 0
-        self._chunk_len = int(chunk_len)
-
-    def push(self, arrays: Dict[str, np.ndarray]) -> None:
-        lengths = {arr.shape[0] for arr in arrays.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"misaligned chunk push: lengths {lengths}")
-        for key, arr in arrays.items():
-            self._parts[key].append(arr)
-        self._count += next(iter(lengths)) if lengths else 0
-
-    def drain(self, final: bool = False) -> Iterator[Dict[str, np.ndarray]]:
-        while (self._count >= self._chunk_len
-               or (final and self._count > 0)):
-            merged = {k: np.concatenate(v, axis=0)
-                      for k, v in self._parts.items()}
-            take = min(self._chunk_len, self._count)
-            yield {k: arr[:take] for k, arr in merged.items()}
-            self._parts = {k: [arr[take:]] for k, arr in merged.items()}
-            self._count -= take
-
-
 @register_generator
 class NarmaGenerator(Generator):
     """Order-``N`` NARMA streams; ``{"u", "y"}`` along the time axis."""
@@ -83,60 +61,18 @@ class NarmaGenerator(Generator):
     kind = "series"
     defaults = {"n_steps": 1000, "order": 10, "washout": None}
 
-    @staticmethod
-    def _resolve_washout(params: Dict) -> int:
-        washout = params["washout"]
-        return int(washout) if washout is not None \
-            else max(50, 5 * int(params["order"]))
-
     def generate(self, params: Dict, seed: int) -> Dict[str, np.ndarray]:
-        u, y = narma(
-            int(params["n_steps"]), order=int(params["order"]), seed=int(seed),
-            washout=params["washout"] if params["washout"] is None
-            else int(params["washout"]),
-        )
-        return {"u": u, "y": y}
+        return concat_chunks(self.generate_chunks(params, seed,
+                                                  int(params["n_steps"])))
 
     def generate_chunks(
         self, params: Dict, seed: int, chunk_len: int
     ) -> Iterator[Dict[str, np.ndarray]]:
-        n_steps = int(params["n_steps"])
-        order = int(params["order"])
-        washout = self._resolve_washout(params)
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        if washout < order:
-            raise ValueError(
-                f"washout must cover the order of the system (>= {order})"
-            )
-        rng = ensure_rng(int(seed))
-        total = n_steps + washout
-        # carried state: the last `order` inputs/outputs (chronological)
-        u_tail = np.zeros(0)
-        y_tail = np.zeros(0)
-        produced = 0
-        buf = _ChunkBuffer(("u", "y"), chunk_len)
-        while produced < total:
-            m = min(max(chunk_len, order), total - produced)
-            u_ext = np.concatenate([u_tail, rng.uniform(0.0, 0.5, size=m)])
-            y_ext = np.concatenate([y_tail, np.zeros(m)])
-            tail_len = len(u_tail)
-            for j in range(m):
-                g = produced + j  # global stream index of this sample
-                if g >= order:
-                    k = tail_len + j
-                    y_ext[k] = narma_step(y_ext, u_ext, k - 1, order)
-            lo = max(washout - produced, 0)
-            if lo < m:
-                buf.push({"u": u_ext[tail_len + lo: tail_len + m],
-                          "y": y_ext[tail_len + lo: tail_len + m]})
-            produced += m
-            u_tail = u_ext[-order:]
-            y_tail = y_ext[-order:]
-            yield from buf.drain()
-        yield from buf.drain(final=True)
+        washout = params["washout"]
+        return narma_chunks(
+            int(params["n_steps"]), chunk_len, order=int(params["order"]),
+            seed=int(seed), washout=None if washout is None else int(washout),
+        )
 
 
 @register_generator
@@ -157,8 +93,14 @@ class MackeyGlassGenerator(Generator):
     }
 
     def generate(self, params: Dict, seed: int) -> Dict[str, np.ndarray]:
-        x = mackey_glass_series(
-            int(params["n_steps"]),
+        return concat_chunks(self.generate_chunks(params, seed,
+                                                  int(params["n_steps"])))
+
+    def generate_chunks(
+        self, params: Dict, seed: int, chunk_len: int
+    ) -> Iterator[Dict[str, np.ndarray]]:
+        return mackey_glass_chunks(
+            int(params["n_steps"]), chunk_len,
             tau=float(params["tau"]),
             beta=float(params["beta"]),
             gamma=float(params["gamma"]),
@@ -168,51 +110,6 @@ class MackeyGlassGenerator(Generator):
             seed=int(seed),
             washout=int(params["washout"]),
         )
-        return {"x": x}
-
-    def generate_chunks(
-        self, params: Dict, seed: int, chunk_len: int
-    ) -> Iterator[Dict[str, np.ndarray]]:
-        n_steps = int(params["n_steps"])
-        tau = float(params["tau"])
-        beta = float(params["beta"])
-        gamma = float(params["gamma"])
-        p = float(params["p"])
-        dt = float(params["dt"])
-        substeps = int(params["substeps"])
-        washout = int(params["washout"])
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        if tau <= 0 or dt <= 0 or substeps < 1:
-            raise ValueError("tau, dt must be positive and substeps >= 1")
-        rng = ensure_rng(int(seed))
-        h = dt / substeps
-        delay = max(1, int(round(tau / h)))
-        # carried state: the last `delay` sub-step values of the stream
-        carry = 1.2 + 0.1 * rng.standard_normal(delay)
-        total_substeps = (n_steps + washout) * substeps
-        done = 0
-        buf = _ChunkBuffer(("x",), chunk_len)
-        block = max(chunk_len * substeps, substeps)
-        while done < total_substeps:
-            m = min(block, total_substeps - done)
-            ext = np.concatenate([carry, np.zeros(m)])
-            for j in range(m):
-                x_now = ext[delay + j - 1]
-                x_delayed = ext[j]
-                drive = beta * x_delayed / (1.0 + x_delayed**p) - gamma * x_now
-                ext[delay + j] = x_now + h * drive
-            # the eager path samples every `substeps`-th generated value and
-            # discards the first `washout` samples
-            idx = np.arange(done, done + m)
-            sampled = idx[(idx % substeps == 0)
-                          & (idx // substeps >= washout)]
-            if sampled.size:
-                buf.push({"x": ext[delay + (sampled - done)]})
-            done += m
-            carry = ext[-delay:]
-            yield from buf.drain()
-        yield from buf.drain(final=True)
 
 
 #: the classic three-stage economy pinking filter: per stage, a one-pole

@@ -446,7 +446,8 @@ def _check_params(A, B) -> tuple:
             f"{A.shape} and {B.shape}"
         )
     try:
-        A, B = np.broadcast_arrays(A, B)
+        if A.shape != B.shape:  # broadcast_arrays is slow; skip a no-op
+            A, B = np.broadcast_arrays(A, B)
     except ValueError:
         raise ValueError(
             f"A and B candidate vectors must have matching lengths, got "

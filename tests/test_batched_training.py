@@ -309,6 +309,79 @@ class TestBatchedTrainer:
             TrainerConfig(batch_size=0)
 
 
+class TestMinibatchTrajectoryPin:
+    """``batch_size > 1`` keeps the trajectory of the scalar minibatch loop.
+
+    ``float.hex()`` per epoch ``(mean_loss, accuracy, A, B, n_skipped)``
+    and the final ``|W|`` sum, recorded from the scalar minibatch loop
+    ``BackpropTrainer`` ran before minibatch SGD moved to
+    ``PopulationTrainer._fused_epoch``; with that loop gone, these are the
+    independent reference for the fused one.  Like every batched bit-pin
+    they assume one BLAS thread and the same OpenBLAS kernel
+    (docs/ARCHITECTURE.md, "The DPRR contraction"), and both fits name the
+    float64 NumPy backend, so ``REPRO_BACKEND``/``REPRO_DTYPE`` cannot move
+    them onto another backend.
+    """
+
+    #: the NumPy reference the goldens were recorded on
+    NUMPY = dict(backend="numpy", dtype="float64")
+
+    #: the module fixture at TrainerConfig(epochs=4, batch_size=8).  A ends
+    #: on the 1e-6 clamp floor: the batched accuracy collapse, which a fix
+    #: for it moves on purpose
+    TOY_HISTORY = [
+        (1, '0x1.24d1a9ba5266bp+0', '0x1.3e93e93e93e94p-3',
+         '0x1.221a9d2410564p-3', '0x1.3f010e726084ap-7', 0),
+        (2, '0x1.582d4a1dfc889p+6', '0x1.b05b05b05b05bp-2',
+         '0x1.0c6f7a0b5ed8dp-20', '0x1.1d8917f8b1f20p-3', 0),
+        (3, '0x1.f28130a470987p+6', '0x1.6c16c16c16c17p-2',
+         '0x1.0c6f7a0b5ed8dp-20', '0x1.5e684895ded52p-4', 0),
+        (4, '0x1.527f2e9c51e1bp+7', '0x1.999999999999ap-2',
+         '0x1.0c6f7a0b5ed8dp-20', '0x1.ba5bc1351d4aep-20', 0),
+    ]
+    TOY_ABS_WEIGHT_SUM = '0x1.16986a8574358p+7'
+
+    #: ``_divergent_fit`` below: four pull-backs in epoch 1
+    DIVERGENT_HISTORY = [
+        (1, '0x1.5a14b6977fcd2p+7', '0x1.4000000000000p-1',
+         '0x1.0c6f7a0b5ed8dp-20', '0x1.0c6f7a0b5ed8dp-20', 4),
+        (2, '0x1.7d7d71a5b56b3p-1', '0x1.0000000000000p-1',
+         '0x1.56043772d3f76p-17', '0x1.0c7143b9a6a3dp-20', 0),
+        (3, '0x1.86c9b8c4e43b0p-1', '0x1.5555555555555p-1',
+         '0x1.0c6f7a0b5ed8dp-20', '0x1.0c6f7a0b5ed8dp-20', 0),
+    ]
+    DIVERGENT_ABS_WEIGHT_SUM = '0x1.2ef7d7d218df5p+6'
+
+    @classmethod
+    def _divergent_fit(cls):
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=(12, 250, 1))
+        y = rng.integers(0, 2, size=12)
+        config = TrainerConfig(epochs=3, batch_size=4, init_A=1.8,
+                               init_B=0.9, param_max=2.0,
+                               divergence_shrink=0.85, **cls.NUMPY)
+        trainer = BackpropTrainer(ModularDFR(InputMask.binary(6, 1, seed=0)),
+                                  n_classes=2, config=config, seed=0)
+        return trainer.fit(u, y)
+
+    @staticmethod
+    def _assert_pinned(result, history, abs_weight_sum):
+        got = [(h.epoch, h.mean_loss.hex(), float(h.accuracy).hex(),
+                h.A.hex(), h.B.hex(), h.n_skipped) for h in result.history]
+        assert got == history
+        assert float(np.abs(result.readout.weights).sum()).hex() == \
+            abs_weight_sum
+
+    def test_toy_minibatch_trajectory(self, toy):
+        self._assert_pinned(_fit_toy(toy, epochs=4, batch_size=8,
+                                     **self.NUMPY),
+                            self.TOY_HISTORY, self.TOY_ABS_WEIGHT_SUM)
+
+    def test_divergent_minibatch_trajectory(self):
+        self._assert_pinned(self._divergent_fit(), self.DIVERGENT_HISTORY,
+                            self.DIVERGENT_ABS_WEIGHT_SUM)
+
+
 class TestFinalWindowViews:
     def test_no_copy_returns_views(self, rng):
         dfr = ModularDFR(InputMask.binary(6, 2, seed=0))

@@ -78,6 +78,14 @@ class TestNarmaGeneral:
         _, y = narma(400, order=order, seed=0)
         assert 0.0 <= y.min() and y.max() < 2.0
 
+    @pytest.mark.parametrize("seed", [262, 513, 1150, 2442, 6853])
+    def test_order_10_saturates_instead_of_running_away(self, seed):
+        """Seeds whose unsaturated NARMA-10 overflows within 200 steps (or,
+        for 2442, reaches ~7e63) stay finite and inside [0, 1]."""
+        _, y = narma(200, order=10, seed=seed)
+        assert np.all(np.isfinite(y))
+        assert 0.0 <= y.min() and y.max() <= 1.0
+
     def test_orders_differ(self):
         _, y5 = narma(200, order=5, seed=0)
         _, y15 = narma(200, order=15, seed=0)
