@@ -10,11 +10,16 @@ Every additional backend available on the host (torch, cupy) gets its own
 fused timing recorded alongside.
 
 What to expect from the ratio: the fusion amortizes the per-candidate
-standardize/mask/dispatch work, but the per-candidate ridge/beta fits and
-(on NumPy) the per-candidate flat-chain filters are inherent, so the CPU
-win is real yet modest (~1.1-1.3x on short-series datasets, approaching
-parity on very long series where the filter dominates — tune
-``candidate_block_size`` there).  The default floor is therefore a
+standardize/mask/dispatch work, and on NumPy most of the margin is the
+identity chain: the fused block's 16 x 90 stacked rows run it as one
+recurrence whose per-position Python cost they share, while each serial
+candidate's 90 rows (x N_x = 24, below the kernel crossover) stay on
+``lfilter`` (docs/ARCHITECTURE.md, "The identity chain").  The
+per-candidate ridge/beta fits are inherent.  On a 2-core x86_64 host the
+ratio read 1.18-1.59 in six runs of this file alone; with more samples
+per candidate the serial path runs the recurrence too and the margin
+narrows, and on very long series the stacked trace fights the cache —
+tune ``candidate_block_size`` there.  The default floor is therefore a
 conservative "measurably faster" gate; ``REPRO_VECTORIZED_SPEEDUP_FLOOR``
 overrides it either way, mirroring the other speedup gates on shared
 runners.  Accelerator backends are where the fused block pays most — one

@@ -63,7 +63,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 __all__ = ["ArrayBackend", "BackendUnavailableError", "TransferStats"]
+
+
+def _per_candidate(A, B, states) -> tuple:
+    """``(A, B, states)`` triples: one per candidate of a stacked sweep."""
+    return tuple(zip(A, B, states)) if np.ndim(A) else ((A, B, states),)
 
 
 class BackendUnavailableError(ImportError):
@@ -360,6 +367,34 @@ class ArrayBackend:
         :meth:`first_order_filter`.
         """
         raise NotImplementedError
+
+    def identity_chain(self, j, A, B, states) -> None:
+        """Write an identity reservoir's trajectory into ``states``.
+
+        On the flat index ``t = (k-1) N_x + n`` the identity trajectory is
+        ONE linear recurrence, ``x_t = A j_t + B x_{t-1} + A x_{t-N_x}``:
+        the order-``N_x`` filter ``A / (1 - B z^-1 - A z^-N_x)`` over each
+        row's ``T N_x`` drive.  ``j`` is the ``(N, T, N_x)`` masked drive.
+        Scalar ``A``/``B`` fill ``states[:, 1:, :]`` of an
+        ``(N, T+1, N_x)`` trace; ``(K,)`` host vectors fill each
+        candidate's slice of a ``(K, N, T+1, N_x)`` one.
+
+        Only called when :attr:`has_general_lfilter` is True.  This version
+        makes one :meth:`lfilter_general` call per candidate.
+        """
+        for a_val, b_val, out in _per_candidate(A, B, states):
+            out[:, 1:, :] = self._lfilter_chain(j, a_val, b_val)
+
+    def _lfilter_chain(self, j, a_val: float, b_val: float):
+        """One candidate's flat chain; returns the ``(N, T, N_x)`` states."""
+        n, t_len, nx = j.shape
+        a_poly = np.zeros(nx + 1)
+        a_poly[0] = 1.0
+        a_poly[1] -= b_val
+        a_poly[nx] -= a_val
+        x_flat = self.lfilter_general([a_val], a_poly,
+                                      j.reshape(n, t_len * nx), axis=-1)
+        return x_flat.reshape(n, t_len, nx)
 
     # -------------------------------------------------------------- #
     # misc

@@ -53,6 +53,8 @@ from __future__ import annotations
 
 import atexit
 import math
+import multiprocessing
+import os
 import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -437,9 +439,48 @@ _WORKER_CONTEXT: Optional[EvaluationContext] = None
 _WORKER_VECTORIZED: Optional["VectorizedExecutor"] = None
 
 
+def _usable_cpus() -> List[int]:
+    """The CPUs this process may run on (affinity-aware on Linux)."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))  # pragma: no cover - non-Linux
+
+
+def _start_on(cpu: int) -> None:
+    """Move this process onto ``cpu``, then restore its affinity mask.
+
+    A placement, not a pin: the scheduler may still move the process
+    later.  Linux places a forked worker by its estimate of each CPU's
+    spare capacity, and on a virtual machine whose other vCPU shows steal
+    or interrupt time it put every worker of a pool on the same vCPU,
+    where two workers ran a grid level slower than one process
+    (docs/ARCHITECTURE.md, "Worker processes").
+    """
+    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # pragma: no cover - cpu left this process's set
+        pass
+
+
 def _init_worker(context: EvaluationContext,
-                 vectorized_block_size: Optional[int] = None) -> None:
+                 vectorized_block_size: Optional[int] = None,
+                 placement=None) -> None:
+    """Install the shipped context and start on this worker's own CPU.
+
+    ``placement`` is ``(cpus, started)``: the pool's CPU list and a shared
+    counter of the workers started so far, which picks this worker's CPU.
+    """
     global _WORKER_CONTEXT, _WORKER_VECTORIZED
+    if placement is not None:
+        cpus, started = placement
+        with started.get_lock():
+            index = started.value
+            started.value += 1
+        _start_on(cpus[index % len(cpus)])
     _WORKER_CONTEXT = context
     _WORKER_VECTORIZED = (
         None if vectorized_block_size is None
@@ -486,7 +527,12 @@ class MultiprocessExecutor(CandidateExecutor):
     Parameters
     ----------
     workers:
-        Process count; ``None`` resolves through ``REPRO_WORKERS``.
+        Worker count; ``None`` resolves through ``REPRO_WORKERS``.  The
+        pool runs ``min(workers, usable cores)`` processes
+        (:attr:`processes`): a candidate is CPU-bound, so a process beyond
+        the cores adds a fork and a context transfer and no throughput.
+        Each process starts on its own core.  Neither choice changes a
+        result.
     chunksize:
         Candidates per dispatch *group*; ``None`` picks
         ``ceil(n / (4 * workers))`` — small enough to balance load, large
@@ -559,6 +605,8 @@ class MultiprocessExecutor(CandidateExecutor):
                  task_timeout_ms: Optional[float] = None,
                  heartbeat_ms: float = 200.0):
         self.workers = resolve_workers(workers)
+        #: live worker processes: the worker count, capped at usable cores
+        self.processes = min(self.workers, len(_usable_cpus()))
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.chunksize = chunksize
@@ -600,10 +648,12 @@ class MultiprocessExecutor(CandidateExecutor):
     def _get_pool(self, context: EvaluationContext) -> ProcessPoolExecutor:
         if self._pool is None or self._pool_context is not context:
             self.close()
+            # one CPU per worker, so the pool starts spread over the cores
+            placement = (_usable_cpus(), multiprocessing.Value("i", 0))
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
+                max_workers=self.processes,
                 initializer=_init_worker,
-                initargs=(context, self.vectorized_block_size),
+                initargs=(context, self.vectorized_block_size, placement),
             )
             self._pool_context = context
         return self._pool

@@ -20,7 +20,12 @@ Conventions
   the ``A`` axis of the landscape.
 * The normal equations use ``(X^T X + beta * n * I)`` — scaling the
   regularizer by the sample count makes ``beta`` comparable across datasets
-  of different sizes.
+  of different sizes.  When there are fewer samples than features
+  (``n < p``, the usual DPRR regime: 930 features) the solve factors the
+  smaller ``n x n`` Gram ``X X^T + beta * n * I`` instead and maps back by
+  ``coef = X^T alpha`` — the same coefficients in exact arithmetic, cheaper,
+  and numerically sound where the ``p x p`` Gram is singular (see
+  docs/ARCHITECTURE.md, "The ridge solve").
 * For model selection, scores are converted to probabilities with a softmax
   and scored by cross-entropy, mirroring the loss the backpropagation phase
   optimizes.
@@ -164,9 +169,10 @@ def fit_ridge_sweep(
 ) -> Dict[float, RidgeModel]:
     """Fit ridge readouts for several ``beta`` values, sharing the Gram matrix.
 
-    The Gram matrix ``X^T X`` and cross-moment ``X^T Y`` are computed once;
-    each ``beta`` then costs only one symmetric solve — this mirrors how a
-    careful grid-search implementation amortizes the per-point ridge cost.
+    The Gram matrix is computed once — ``X X^T`` when there are fewer
+    samples than features, else ``X^T X`` — and each ``beta`` then costs
+    only one symmetric solve; this mirrors how a careful grid-search
+    implementation amortizes the per-point ridge cost.
 
     Parameters
     ----------
@@ -185,27 +191,11 @@ def fit_ridge_sweep(
         raise ValueError("features contain non-finite values (diverged reservoir?)")
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    n = features.shape[0]
     x, mean, std = _center_or_standardize(features, standardize)
     targets = one_hot(labels, n_classes)
     y_mean = targets.mean(axis=0)
-    y_c = targets - y_mean
-
-    gram = x.T @ x
-    cross = x.T @ y_c
-    eye = np.eye(gram.shape[0])
-    models = {}
-    for beta in betas:
-        beta = float(beta)
-        if beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        lhs = gram + beta * n * eye
-        try:
-            cho = scipy.linalg.cho_factor(lhs, check_finite=False)
-            coef = scipy.linalg.cho_solve(cho, cross, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            coef = np.linalg.lstsq(lhs, cross, rcond=None)[0]
-        models[beta] = RidgeModel(
+    return {
+        beta: RidgeModel(
             beta=beta,
             coef=coef,
             intercept=y_mean,
@@ -213,7 +203,37 @@ def fit_ridge_sweep(
             feature_std=std,
             n_classes=n_classes,
         )
-    return models
+        for beta, coef in _ridge_solutions(x, targets - y_mean, betas)
+    }
+
+
+def _ridge_solutions(x: np.ndarray, y_c: np.ndarray, betas: Sequence[float]):
+    """Yield ``(beta, coef)`` solving the centered ridge for each ``beta``.
+
+    The primal ``(X^T X + beta n I) coef = X^T Y`` factors a ``p x p``
+    matrix; when ``n < p`` the dual ``(X X^T + beta n I) alpha = Y`` with
+    ``coef = X^T alpha`` factors the smaller ``n x n`` one.  The two agree
+    to rounding, not bit for bit.  The dual is also the sound one there:
+    ``X^T X`` has ``p - n`` zero eigenvalues, so at small ``beta`` the
+    primal factor is numerically singular and its coefficients follow
+    rounding noise, while ``X X^T`` keeps only the sample-space spectrum.
+    """
+    n = x.shape[0]
+    dual = n < x.shape[1]
+    gram = x @ x.T if dual else x.T @ x
+    rhs = y_c if dual else x.T @ y_c
+    eye = np.eye(gram.shape[0])
+    for beta in betas:
+        beta = float(beta)
+        if beta <= 0.0:
+            raise ValueError(f"beta must be positive, got {beta}")
+        lhs = gram + beta * n * eye
+        try:
+            cho = scipy.linalg.cho_factor(lhs, check_finite=False)
+            sol = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        yield beta, (x.T @ sol if dual else sol)
 
 
 @dataclass
@@ -330,20 +350,11 @@ def fit_ridge_regressor(
         raise ValueError(
             f"{targets.shape[0]} targets for {features.shape[0]} samples"
         )
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
-    n = features.shape[0]
     mean = features.mean(axis=0)
     x = features - mean
     y_mean = targets.mean(axis=0)
-    y_c = targets - y_mean
-    lhs = x.T @ x + beta * n * np.eye(x.shape[1])
-    try:
-        cho = scipy.linalg.cho_factor(lhs, check_finite=False)
-        coef = scipy.linalg.cho_solve(cho, x.T @ y_c, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        coef = np.linalg.lstsq(lhs, x.T @ y_c, rcond=None)[0]
-    return RidgeRegressor(beta=float(beta), coef=coef, intercept=y_mean,
+    [(beta, coef)] = _ridge_solutions(x, targets - y_mean, [beta])
+    return RidgeRegressor(beta=beta, coef=coef, intercept=y_mean,
                           feature_mean=mean)

@@ -156,6 +156,8 @@ class DPRR:
         """Lay out ``[vec(P), s]`` (paper Eqs. 18–19) and apply the scale."""
         p_flat = p_mat.reshape(tuple(p_mat.shape[:-2]) + (-1,))
         raw = xb.concatenate([p_flat, s_vec], axis=-1)
+        if self.normalize is None and raw.dtype == xb.float_dtype:
+            return raw  # the literal sums need no scaling pass
         return raw * self.scale(n_steps)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -55,6 +55,10 @@ constructed reservoirs keep the paper-pinned numerics (pipeline entry
 points thread their backend in explicitly).  Backends without an
 arbitrary-order ``lfilter`` (Torch) skip the identity flat-chain fast path
 and compute the same trajectory through the per-step first-order chain.
+
+The identity fast path is one backend call,
+:meth:`~repro.backend.ArrayBackend.identity_chain`; on NumPy it has two
+kernels with the same bits (docs/ARCHITECTURE.md, "The identity chain").
 """
 
 from __future__ import annotations
@@ -302,21 +306,12 @@ class ModularDFR:
                 # whole trajectory solves ONE linear recurrence
                 #   x_t = A j_t + B x_{t-1} + A x_{t-N_x},
                 # i.e. a single IIR filter over T*N_x samples per series.
-                # The filter coefficients depend on the candidate, so a
-                # stacked sweep loops candidates here — each iteration is
-                # the identical scalar call (bit-identical rows), and the
-                # masked drive above is still shared by all of them.
-                j_flat = j.reshape(n, t_len * nx)
-                for a_val, b_val, out in (
-                    zip(A, B, states) if stacked else ((A, B, states),)
-                ):
-                    a_poly = np.zeros(nx + 1)
-                    a_poly[0] = 1.0
-                    a_poly[1] -= b_val
-                    a_poly[nx] -= a_val
-                    x_flat = xb.lfilter_general([a_val], a_poly, j_flat, axis=-1)
-                    out[:, 1:, :] = x_flat.reshape(n, t_len, nx)
-                pre[:] = j + states[..., :-1, :]
+                # The masked drive above is shared by every candidate.
+                xb.identity_chain(j, A, B, states)
+                # in place: a stacked sweep's j + x sum would be one more
+                # trace-sized temporary (same bits: one add per element)
+                pre[:] = j
+                pre += states[..., :-1, :]
             else:
                 a_mul = xb.asarray(A)[:, None, None] if stacked else A
                 b_mul = xb.asarray(B)[:, None] if stacked else B

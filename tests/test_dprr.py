@@ -183,6 +183,16 @@ def test_zero_states_give_zero_features():
     np.testing.assert_array_equal(feats, 0.0)
 
 
+@pytest.mark.parametrize("normalize", [None, "length"])
+def test_integer_states_give_float_features(normalize):
+    states = np.arange(2 * 6 * 3).reshape(2, 6, 3)
+    dprr = DPRR(normalize=normalize)
+    want = dprr.features(states.astype(np.float64))
+    for feats in (dprr.features(states), dprr.reference_features(states)):
+        assert feats.dtype == np.float64
+        np.testing.assert_array_equal(feats, want)
+
+
 class TestBaselines:
     def test_last_state(self, rng):
         states = _random_trace(rng)

@@ -1,11 +1,15 @@
 """Tests for the unified candidate-execution layer (repro.exec)."""
 
+import multiprocessing
+import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro.exec.context as exec_context
+import repro.exec.executors as executors
 from repro.core.pipeline import DFRFeatureExtractor, FixedParamsEvaluation
 from repro.data.loaders import make_toy_dataset
 from repro.exec import (
@@ -193,6 +197,56 @@ class TestMultiprocessExecutor:
         finally:
             executor.close()
         assert executor._pool is None
+
+    def test_processes_capped_at_usable_cores(self):
+        cores = len(executors._usable_cpus())
+        executor = MultiprocessExecutor(cores + 3)
+        assert executor.workers == cores + 3
+        assert executor.processes == cores
+        assert MultiprocessExecutor(1).processes == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_start_on_keeps_the_affinity_mask(self):
+        allowed = os.sched_getaffinity(0)
+        executors._start_on(max(allowed))
+        assert os.sched_getaffinity(0) == allowed
+        # a CPU outside the set is refused by the kernel and ignored
+        executors._start_on(max(allowed) + 4096)
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork"
+        or len(executors._usable_cpus()) < 2,
+        reason="needs forked workers and two usable cores")
+    def test_workers_start_on_distinct_cpus(self, setup, monkeypatch):
+        data, ext = setup
+        started = multiprocessing.Queue()
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(executors, "_start_on",
+                            lambda cpu: started.put((os.getpid(), cpu)))
+        with MultiprocessExecutor(2) as executor:
+            pool = executor._get_pool(_context(data, ext))
+            pool.submit(os.getpid).result(timeout=60)
+            placed = dict(started.get(timeout=30) for _ in range(2))
+        assert len(placed) == 2
+        assert sorted(placed.values()) == executors._usable_cpus()[:2]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="needs forked workers")
+    def test_placement_counter_loses_no_worker(self, setup, monkeypatch):
+        """More workers than cores: every worker takes its own index."""
+        data, ext = setup
+        started = multiprocessing.Queue()
+        monkeypatch.setattr(executors, "_start_on", started.put)
+        n = 2 * len(executors._usable_cpus()) + 2
+        placement = (list(range(n)), multiprocessing.Value("i", 0))
+        with ProcessPoolExecutor(n, initializer=executors._init_worker,
+                                 initargs=(_context(data, ext), None,
+                                           placement)) as pool:
+            pool.submit(os.getpid).result(timeout=60)
+            cpus = sorted(started.get(timeout=30) for _ in range(n))
+        assert cpus == list(range(n))
 
 
 class TestTwoLevelFusion:

@@ -82,16 +82,6 @@ class TestPopulationTrainerParity:
         assert result.population == 1
         _assert_same_training(result.members[0].result, ref)
 
-    def test_population_of_one_batched_matches_trainer(self, toy):
-        """K=1 through the fused stack == BackpropTrainer's batched path."""
-        data, u_train, _ = toy
-        cfg = TrainerConfig(epochs=5, batch_size=4)
-        result = PopulationTrainer(ModularDFR(_mask()), 3, config=cfg,
-                                   seed=3).fit(u_train, data.y_train)
-        ref = BackpropTrainer(ModularDFR(_mask()), 3, config=cfg,
-                              seed=3).fit(u_train, data.y_train)
-        _assert_same_training(result.members[0].result, ref)
-
     @pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
     def test_fused_members_match_sequential_runs(self, toy, optimizer):
         """Every member of a fused K=3 run == its own sequential fit.

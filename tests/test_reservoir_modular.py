@@ -1,10 +1,14 @@
 """Differential tests: fast modular DFR vs the naive reference transcription."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
+from repro.backend import NumpyBackend, numpy_backend
 from repro.representation.dprr import DPRR
 from repro.reservoir.masking import InputMask
 from repro.reservoir.modular import ModularDFR
@@ -107,6 +111,171 @@ def test_rejects_nonfinite_params():
         dfr.run(np.ones((1, 5, 1)), np.nan, 0.1)
     with pytest.raises(ValueError):
         dfr.run(np.ones((1, 5, 1)), 0.1, np.inf)
+
+
+#: (A, B) per input case: scalar, then three stacked candidates
+_CHAIN_PARAMS = {
+    "normal": ((0.3, 0.2), ([0.3, 0.05, 0.5], [0.2, 0.4, 0.01])),
+    "zeros": ((0.3, 0.2), ([0.3, 0.05, 0.5], [0.2, 0.4, 0.01])),
+    # states decay into subnormals, where sums underflow to zero
+    "subnormal": ((1e-3, 1e-2), ([1e-3, 0.05, 1e-5], [1e-2, 1e-4, 0.1])),
+    # rows overflow to inf; lfilter's zero taps then turn them to NaN
+    "diverge": ((3.0, 3.0), ([0.1, 3.0, 1.5], [0.2, 3.0, 1.5])),
+}
+
+
+def _chain_input(case, n, n_steps=100):
+    u = np.random.default_rng(5).normal(size=(n, n_steps, 1))
+    if case == "zeros":
+        u[:] = 0.0
+    elif case == "subnormal":
+        u[:, 3:, :] = 1e-320
+    return u
+
+
+def _df2t_chain(j, a_val, b_val, *, fused):
+    """SciPy's direct-form-II-transposed loop for the chain, in Python.
+
+    ``fused=False`` rounds each product and each sum on its own, as SciPy's
+    compiled loop does here; ``fused=True`` rounds each ``z + b * x`` once,
+    as a loop compiled with fused multiply-adds would.
+    """
+    def mul_add(z, b, x):
+        if fused:
+            return float(Fraction(z) + Fraction(b) * Fraction(x))
+        return z + b * x
+
+    n, t_len, nx = j.shape
+    b = [a_val] + [0.0] * nx
+    a = [1.0, -b_val] + [0.0] * (nx - 2) + [-a_val]
+    out = np.empty((n, t_len * nx))
+    for r, row in enumerate(j.reshape(n, -1).tolist()):
+        z = [0.0] * nx
+        for t, x in enumerate(row):
+            y = mul_add(z[0], b[0], x)
+            for m in range(nx - 1):
+                z[m] = mul_add(mul_add(z[m + 1], b[m + 1], x), -y, a[m + 1])
+            z[nx - 1] = mul_add(x * b[nx], -y, a[nx])
+            out[r, t] = y
+    return out.reshape(j.shape)
+
+
+@pytest.fixture
+def fresh_exactness_check():
+    """Forget the process-wide exactness verdict before and after a test."""
+    numpy_backend._recurrence_is_exact.cache_clear()
+    yield
+    numpy_backend._recurrence_is_exact.cache_clear()
+
+
+class TestIdentityChainKernels:
+    """The identity chain's two NumPy kernels give the same bytes.
+
+    ``NumpyBackend.identity_chain`` runs as one SciPy ``lfilter`` call per
+    candidate, or — once ``rows x N_x`` reaches ``_RECURRENCE_MIN_WIDTH`` —
+    as one NumPy recurrence over every row of every candidate, handing back
+    to ``lfilter`` only the rows that went non-finite or hold a ``-0.0``.
+
+    Precondition: the bits agree only because SciPy's compiled ``lfilter``
+    loop rounds each product and each sum on its own, with no fused
+    multiply-add; the recurrence makes the same roundings in the same
+    order.  The program checks this once per process on a small probe
+    (``_recurrence_is_exact``) and keeps ``lfilter`` for every sweep where
+    it fails.  A SciPy build that contracts them into FMAs (a compiler may,
+    on targets with FMA) fails the byte test below loudly.
+    """
+
+    @staticmethod
+    def _run(dfr, u, a_b, xb, width, monkeypatch):
+        monkeypatch.setattr(numpy_backend, "_RECURRENCE_MIN_WIDTH", width)
+        return dfr.run(u, *a_b, backend=xb)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("case", sorted(_CHAIN_PARAMS))
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("n_nodes", [10, 30])
+    def test_recurrence_matches_lfilter_bytes(self, n_nodes, side, stacked,
+                                              case, dtype, monkeypatch):
+        assert numpy_backend._recurrence_is_exact(), (
+            "this SciPy's lfilter rounds differently from the recurrence "
+            "(fused multiply-adds?); every sweep keeps lfilter")
+        width = numpy_backend._RECURRENCE_MIN_WIDTH
+        n_cand = 3 if stacked else 1
+        n = 12 if side == "below" else -(-width // (n_cand * n_nodes)) + 1
+        assert (n_cand * n * n_nodes >= width) == (side == "above")
+        dfr = ModularDFR(InputMask.binary(n_nodes, 1, seed=0))
+        u = _chain_input(case, n)
+        a_b = _CHAIN_PARAMS[case][stacked]
+        xb = NumpyBackend(dtype)
+
+        calls = []
+        recurrence = numpy_backend._identity_recurrence
+        monkeypatch.setattr(numpy_backend, "_identity_recurrence",
+                            lambda *args: calls.append(1) or recurrence(*args))
+        default = dfr.run(u, *a_b, backend=xb)
+        assert len(calls) == (side == "above")
+        ref = self._run(dfr, u, a_b, xb, float("inf"), monkeypatch)
+        got = self._run(dfr, u, a_b, xb, 0, monkeypatch)
+        if case == "diverge":
+            assert np.isnan(ref.states).any()
+        for trace in (got, default):
+            assert trace.states.dtype == ref.states.dtype == xb.float_dtype
+            assert trace.states.tobytes() == ref.states.tobytes()
+            assert (trace.pre_activations.tobytes()
+                    == ref.pre_activations.tobytes())
+            np.testing.assert_array_equal(trace.diverged, ref.diverged)
+
+    @pytest.mark.parametrize("case", ["subnormal", "diverge"])
+    def test_rows_handed_back_would_differ(self, case):
+        """The hand-back is needed: without it these rows change bytes."""
+        xb = NumpyBackend()
+        j = xb.masked_drive(InputMask.binary(10, 1, seed=0),
+                            _chain_input(case, 40))
+        a_vec, b_vec = (np.array(v) for v in _CHAIN_PARAMS[case][1])
+        states = np.zeros((3, 40, 101, 10))
+        with xb.errstate():
+            redo = numpy_backend._identity_recurrence(j, a_vec, b_vec, states)
+            ref = np.stack([xb._lfilter_chain(j, a, b)
+                            for a, b in zip(a_vec, b_vec)])
+        differ = np.array([
+            got.tobytes() != want.tobytes()
+            for got, want in zip(states[..., 1:, :].reshape(120, -1),
+                                 ref.reshape(120, -1))
+        ])
+        assert differ.any()
+        assert not (differ & ~redo).any()
+
+    def test_probe_tells_fused_from_separate_rounding(self):
+        """The exactness probe would catch an lfilter with fused mul-adds."""
+        j, a_val, b_val = numpy_backend._exactness_probe()
+        states = np.zeros((j.shape[0], j.shape[1] + 1, j.shape[2]))
+        numpy_backend._identity_recurrence(j, a_val, b_val, states)
+        separate = _df2t_chain(j, a_val, b_val, fused=False)
+        fused = _df2t_chain(j, a_val, b_val, fused=True)
+        assert separate.tobytes() == states[:, 1:, :].tobytes()
+        assert fused.tobytes() != separate.tobytes()
+
+    def test_inexact_lfilter_keeps_lfilter(self, monkeypatch,
+                                           fresh_exactness_check):
+        """Where the probe disagrees, even a wide sweep runs ``lfilter``."""
+        lfilter_calls = []
+
+        def other_lfilter(b, a, x, axis=-1):
+            # stands in for an lfilter whose loop rounds differently
+            lfilter_calls.append(1)
+            return np.nextafter(lfilter(b, a, x, axis=axis), np.inf)
+
+        monkeypatch.setattr(numpy_backend, "lfilter", other_lfilter)
+        assert not numpy_backend._recurrence_is_exact()
+        monkeypatch.setattr(numpy_backend, "_identity_recurrence",
+                            lambda *args: pytest.fail("recurrence ran"))
+        n = -(-numpy_backend._RECURRENCE_MIN_WIDTH // 30) + 1
+        dfr = ModularDFR(InputMask.binary(30, 1, seed=0))
+        del lfilter_calls[:]
+        dfr.run(_chain_input("normal", n), [0.3, 0.05], [0.2, 0.4],
+                backend=NumpyBackend())
+        assert len(lfilter_calls) == 2
 
 
 class TestStreaming:

@@ -9,6 +9,7 @@ from repro.readout.ridge import (
     fit_ridge_sweep,
     select_beta,
 )
+from repro.readout.softmax import one_hot
 
 
 def _separable_problem(rng, n=60, n_features=8, n_classes=3, scale=3.0):
@@ -63,6 +64,28 @@ def test_rank_deficient_features_are_handled(rng):
     model = fit_ridge(x, y, beta=1e-2)
     assert np.all(np.isfinite(model.coef))
     assert model.accuracy(x, y) >= 0.5
+
+
+def test_dual_solve_matches_primal_when_well_conditioned(rng):
+    """n < p factors the n x n Gram; it agrees with the p x p primal.
+
+    The two orientations are the same coefficients in exact arithmetic,
+    not the same bits: the agreement is pinned at a stated tolerance, on a
+    problem where the primal itself is well conditioned (beta n well above
+    rounding of X^T X).
+    """
+    n, p = 40, 120
+    x = rng.normal(size=(n, p)) * 3.0 + 1.0
+    y = rng.integers(0, 3, size=n)
+    sweep = fit_ridge_sweep(x, y, PAPER_BETAS)
+    x_c = x - x.mean(axis=0)
+    targets = one_hot(y, 3)
+    y_c = targets - targets.mean(axis=0)
+    for beta in (1e-2, 1.0):
+        primal = np.linalg.solve(x_c.T @ x_c + beta * n * np.eye(p),
+                                 x_c.T @ y_c)
+        np.testing.assert_allclose(sweep[beta].coef, primal, rtol=1e-10,
+                                   atol=1e-10 * np.abs(primal).max())
 
 
 def test_constant_feature_does_not_blow_up(rng):
@@ -135,3 +158,36 @@ class TestSelectBeta:
         s2 = select_beta(x, y, seed=7)
         assert s1.best_beta == s2.best_beta
         assert s1.val_losses == s2.val_losses
+
+
+class TestSmallSampleConditioning:
+    """n << p at WALK's scale: 22 x 930 features, lambda_max(X^T X) ~ 1e11.
+
+    There the p x p primal Gram has 909 zero eigenvalues, lifted only to
+    beta n = 2.2e-5 at beta = 1e-6 — below the rounding of its ~1e11 top,
+    so a primal Cholesky follows rounding noise: on this problem, moving
+    every feature by one ulp flipped the selected beta from 1e-2 to 1e-4
+    and moved the beta = 1e-6 validation loss from 1.353 to 1.403.  The
+    n x n dual Gram keeps only the sample-space spectrum, so the same move
+    leaves the selection alone.
+    """
+
+    @staticmethod
+    def _walk_like(seed=1, n=28, p=930, n_classes=6, scale=9e3):
+        rng = np.random.default_rng(seed)
+        y = np.arange(n) % n_classes
+        centers = rng.normal(size=(n_classes, p))
+        return (rng.normal(size=(n, p)) + 0.5 * centers[y]) * scale, y
+
+    def test_one_ulp_keeps_beta_and_validation_scores(self):
+        x, y = self._walk_like()
+        x_c = x - x.mean(axis=0)
+        assert 5e10 < np.linalg.eigvalsh(x_c @ x_c.T)[-1] < 5e11
+        base = select_beta(x, y, seed=0)
+        moved = select_beta(np.nextafter(x, np.inf), y, seed=0)
+        assert moved.best_beta == base.best_beta
+        for beta in PAPER_BETAS:
+            np.testing.assert_allclose(moved.val_losses[beta],
+                                       base.val_losses[beta], rtol=1e-9)
+            np.testing.assert_allclose(moved.val_accuracies[beta],
+                                       base.val_accuracies[beta], rtol=1e-9)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_mod
+from repro.backend import numpy_backend
 from repro.core.backprop import BackpropEngine, batch_reservoir_backward
 from repro.core.grid_search import GridSearch
 from repro.core.hyperopt import RandomSearch
@@ -361,9 +362,15 @@ class TestVectorizedExecutor:
     def test_bit_identical_to_serial(self, toy):
         data, ext = toy
         context = _context(data, ext)
-        candidates = _candidates(9)
+        candidates = _candidates(20)
+        # the identity chain switches kernel by sweep width: each serial
+        # candidate (and a block of 3) runs lfilter, while a block of all
+        # 20 stacks enough rows for the NumPy recurrence — so this pins
+        # the switch end to end
+        width = ext.n_nodes * len(data.y_train)
+        assert 3 * width < numpy_backend._RECURRENCE_MIN_WIDTH <= 20 * width
         serial = SerialExecutor().run(context, candidates).evaluations()
-        for block_size in (1, 3, 9, 64):
+        for block_size in (1, 3, 20, 64):
             fused = VectorizedExecutor(block_size=block_size).run(
                 context, candidates).evaluations()
             assert fused == serial
