@@ -25,11 +25,10 @@ how the pipeline-level entry points (:class:`~repro.core.trainer.TrainerConfig`,
 :class:`~repro.core.pipeline.DFRFeatureExtractor`,
 :class:`~repro.exec.BackendExecutor`) pick their default.  Specs are
 ``"name[:device][@dtype]"`` — e.g. ``REPRO_BACKEND=torch:cuda:1`` or
-``REPRO_BACKEND=torch:cuda:0@float32``.  The ``@dtype`` suffix selects the
-working precision (``float64`` default, ``float32`` opt-in); the
-``REPRO_DTYPE`` environment variable and the ``dtype=`` keyword of
-:func:`resolve_backend`/:func:`default_backend` set it for specs that do
-not carry a suffix (an explicit ``@dtype`` in the spec always wins).
+``REPRO_BACKEND=torch:cuda:0@float32``.  The ``@dtype`` suffix is the one
+way to select the working precision (``float64`` default, ``float32``
+opt-in); because it travels inside the spec string, it reaches every layer
+a spec reaches, pickled worker contexts included.
 Low-level components (:class:`~repro.reservoir.modular.ModularDFR`,
 :class:`~repro.representation.dprr.DPRR`,
 :class:`~repro.readout.softmax.SoftmaxReadout`) stay on NumPy unless a
@@ -47,7 +46,7 @@ from repro.backend.base import (
     TransferStats,
 )
 from repro.backend.numpy_backend import NumpyBackend
-from repro.utils.validation import check_choice, env_knob
+from repro.utils.validation import env_knob
 
 __all__ = [
     "ArrayBackend",
@@ -55,23 +54,17 @@ __all__ = [
     "TransferStats",
     "NumpyBackend",
     "BACKEND_ENV_VAR",
-    "DTYPE_ENV_VAR",
     "BACKEND_NAMES",
     "DTYPE_NAMES",
     "resolve_backend",
     "default_backend",
     "available_backends",
     "infer_backend",
-    "with_dtype",
 ]
 
 #: environment variable selecting the default backend for pipeline entry
 #: points (``"numpy"``, ``"torch"``, ``"torch:cuda:0@float32"``, ...)
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: environment variable selecting the default working precision for specs
-#: without an explicit ``@dtype`` suffix ("float64" or "float32")
-DTYPE_ENV_VAR = "REPRO_DTYPE"
 
 #: registry names, in resolution-preference order
 BACKEND_NAMES = ("numpy", "torch", "cupy")
@@ -109,28 +102,6 @@ def _split_spec(spec: str) -> Tuple[str, Optional[str], Optional[str]]:
     return name, device or None, dtype
 
 
-def with_dtype(spec: Union[None, str, ArrayBackend], dtype: str) -> str:
-    """A spec string equal to ``spec`` but with working precision ``dtype``.
-
-    Useful for threading a precision choice through pickled configuration
-    (the dtype travels *inside* the spec string, so worker processes
-    reconstruct the same backend).  An instance maps to its own
-    ``name:device`` spec; ``None`` maps to the NumPy reference.
-    """
-    if dtype not in DTYPE_NAMES:
-        known = ", ".join(DTYPE_NAMES)
-        raise ValueError(f"dtype must be one of {known}; got {dtype!r}")
-    if spec is None:
-        body = "numpy"
-    elif isinstance(spec, ArrayBackend):
-        body = spec.name if spec.device in (None, "cpu") \
-            else f"{spec.name}:{spec.device}"
-    else:
-        name, device, _ = _split_spec(spec.strip().lower())
-        body = name if device is None else f"{name}:{device}"
-    return body if dtype == "float64" else f"{body}@{dtype}"
-
-
 def _construct(name: str, device: Optional[str],
                dtype: str) -> ArrayBackend:
     if name == "numpy":
@@ -154,61 +125,48 @@ def _construct(name: str, device: Optional[str],
     raise ValueError(f"unknown array backend {name!r}; known: {known}")
 
 
-def resolve_backend(spec: Union[None, str, ArrayBackend] = None,
-                    dtype: Optional[str] = None) -> ArrayBackend:
+def resolve_backend(spec: Union[None, str, ArrayBackend] = None
+                    ) -> ArrayBackend:
     """Resolve ``spec`` into an :class:`ArrayBackend` instance.
 
     ``None`` means the NumPy reference (the environment variable is *not*
     consulted here — see :func:`default_backend`).  A string is a registry
     name with optional device and dtype suffixes
-    (``"torch:cuda:1@float32"``); instances pass through unchanged.  The
-    ``dtype`` keyword supplies a working precision for specs without an
-    explicit ``@dtype`` suffix (the suffix wins when both are given).
+    (``"torch:cuda:1@float32"``); instances pass through unchanged.
     Resolved backends are cached per normalized spec, so two components
     asking for the same spec share one instance (and its device caches).
     """
     if isinstance(spec, ArrayBackend):
         return spec
     if spec is None:
-        if dtype in (None, "float64"):
-            return _NUMPY
-        spec = "numpy"
+        return _NUMPY
     if not isinstance(spec, str):
         raise TypeError(
             f"backend must be None, a name, or an ArrayBackend, got "
             f"{type(spec).__name__}"
         )
-    name, device, spec_dtype = _split_spec(spec.strip().lower())
-    eff_dtype = spec_dtype or dtype or "float64"
-    if eff_dtype not in DTYPE_NAMES:
-        known = ", ".join(DTYPE_NAMES)
-        raise ValueError(f"dtype must be one of {known}; got {eff_dtype!r}")
+    name, device, dtype = _split_spec(spec.strip().lower())
+    dtype = dtype or "float64"
     key = name if device is None else f"{name}:{device}"
-    if eff_dtype != "float64":
-        key = f"{key}@{eff_dtype}"
+    if dtype != "float64":
+        key = f"{key}@{dtype}"
     if key in _INSTANCES:
         return _INSTANCES[key]
-    backend = _construct(name, device, eff_dtype)
+    backend = _construct(name, device, dtype)
     _INSTANCES[key] = backend
     return backend
 
 
-def default_backend(dtype: Optional[str] = None) -> ArrayBackend:
+def default_backend() -> ArrayBackend:
     """The backend pipeline entry points use when none is given explicitly.
 
-    Consults ``REPRO_BACKEND``; unset or empty means NumPy.  The working
-    precision comes from (in priority order) an explicit ``@dtype`` spec
-    suffix, the ``dtype`` keyword, then ``REPRO_DTYPE``.  A variable
-    naming an uninstalled backend raises :class:`BackendUnavailableError`
-    — loudly, so a mis-configured environment cannot silently run on CPU.
+    Consults ``REPRO_BACKEND``; unset or empty means NumPy.  A malformed
+    spec (unknown name, bad ``@dtype`` suffix) raises a ``ValueError``
+    naming the variable; a variable naming an uninstalled backend raises
+    :class:`BackendUnavailableError` — loudly, so a mis-configured
+    environment cannot silently run on CPU.
     """
-    spec = env_knob(None, BACKEND_ENV_VAR, str, None)
-    # only an env dtype is validated here; an explicit one reaches
-    # resolve_backend unchanged, where a spec suffix may override it
-    dtype = env_knob(dtype, DTYPE_ENV_VAR,
-                     lambda s: check_choice(s, DTYPE_NAMES, name="dtype"),
-                     None)
-    return resolve_backend(spec, dtype=dtype)
+    return env_knob(None, BACKEND_ENV_VAR, resolve_backend, _NUMPY)
 
 
 def available_backends() -> List[str]:

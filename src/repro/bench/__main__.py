@@ -5,11 +5,11 @@ Usage (installed as ``repro-bench``, or ``python -m repro.bench``):
 .. code-block:: console
 
     repro-bench table1 [--datasets JPVOW LIB ...] [--size-profile bench]
-                       [--workers 4] [--backend torch] [--dtype float32]
+                       [--workers 4] [--backend torch@float32]
                        [--search descent --population 16]
     repro-bench table2
     repro-bench fig6 [--dataset CHAR] [--divisions 5] [--workers 4]
-                     [--backend torch] [--dtype float32]
+                     [--backend torch@float32]
     repro-bench ablation-truncation [--dataset LIB]
     repro-bench ablation-nonlinearity [--datasets JPVOW LIB]
     repro-bench ablation-bitwidth [--dataset JPVOW]
@@ -76,22 +76,13 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None,
         help="array backend executing the reservoir/DPRR sweeps: 'numpy', "
-             "'torch', 'torch:cuda:0', 'cupy'. Default: the REPRO_BACKEND "
+             "'torch', 'torch:cuda:0', 'cupy'; an '@float32' suffix "
+             "('torch:cuda:0@float32') trades the bit-pinned float64 "
+             "default for device throughput, bounded by the tolerance "
+             "contract in docs/ARCHITECTURE.md. Default: the REPRO_BACKEND "
              "environment variable, else numpy. The vectorized candidate "
              "executor (REPRO_EXECUTOR=vectorized) composes with any of "
              "them",
-    )
-
-
-def _add_dtype(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dtype", choices=("float32", "float64"), default=None,
-        help="working float precision of the backend sweeps (float64 is "
-             "the bit-pinned default; float32 trades exactness for device "
-             "throughput, bounded by the tolerance contract in "
-             "docs/ARCHITECTURE.md). Default: the backend spec's @dtype "
-             "suffix, else the REPRO_DTYPE environment variable, else "
-             "float64",
     )
 
 
@@ -126,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers(p)
     _add_backend(p)
-    _add_dtype(p)
     _add_common(p)
 
     p = sub.add_parser("table2", help="storage reduction (Table 2, exact)")
@@ -138,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-divisions", type=int, default=10)
     _add_workers(p)
     _add_backend(p)
-    _add_dtype(p)
     _add_common(p)
 
     p = sub.add_parser("ablation-truncation", help="backward-window sweep")
@@ -201,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the result dict as JSON to PATH "
                         "('-' for stdout)")
     _add_backend(p)
-    _add_dtype(p)
 
     p = sub.add_parser(
         "matrix",
@@ -283,7 +271,6 @@ def main(argv=None) -> int:
             population=args.population,
             workers=args.workers,
             backend=args.backend,
-            dtype=args.dtype,
         )
         print()
         print(format_table1(rows))
@@ -299,7 +286,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             workers=args.workers,
             backend=args.backend,
-            dtype=args.dtype,
         )
         print()
         print(format_fig6(result))
@@ -346,7 +332,6 @@ def main(argv=None) -> int:
             repeats=args.repeats,
             seed=args.seed,
             backend=args.backend,
-            dtype=args.dtype,
         )
         print()
         print(format_serve(result))

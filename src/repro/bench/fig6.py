@@ -59,7 +59,6 @@ def run_fig6(
     seed: int = 0,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    dtype: Optional[str] = None,
     verbose: bool = True,
 ) -> Fig6Result:
     """Run the two-level recursive zoom plus an exhaustive reference grid.
@@ -72,18 +71,14 @@ def run_fig6(
     reservoir/DPRR sweeps (``"numpy"``, ``"torch[:device]"``, ``"cupy"``);
     ``None`` defers to ``REPRO_BACKEND``.  It threads through both the
     feature extractor and the search executors, exactly like
-    ``repro-bench table1 --backend``.
-
-    ``dtype`` selects the working float precision of those sweeps
-    ("float64" default, "float32" opt-in); ``None`` defers to the spec's
-    ``@dtype`` suffix / ``REPRO_DTYPE``.
+    ``repro-bench table1 --backend``; its ``@dtype`` suffix selects the
+    sweeps' working precision (``"numpy@float32"``).
     """
     data = load_dataset(dataset, size_profile=size_profile, seed=seed)
     if verbose:
         print(f"[fig6] {data.summary()}", flush=True)
     extractor = DFRFeatureExtractor(n_nodes=n_nodes, seed=seed,
-                                    backend=backend,
-                                    dtype=dtype).fit(data.u_train)
+                                    backend=backend).fit(data.u_train)
 
     recursive = RecursiveGridSearch(extractor, divisions=divisions, seed=seed,
                                     workers=workers, backend=backend)

@@ -120,7 +120,6 @@ def run_serve_bench(
     repeats: int = 3,
     seed: int = 0,
     backend: Optional[str] = None,
-    dtype: Optional[str] = None,
 ) -> dict:
     """Replay one trace through serial and batched engines; compare both.
 
@@ -159,7 +158,7 @@ def run_serve_bench(
     )
 
     def run_once(mb: int) -> ReplayReport:
-        engine = ServeEngine(max_batch=mb, backend=backend, dtype=dtype)
+        engine = ServeEngine(max_batch=mb, backend=backend)
         for model in models:
             engine.deploy(model)
         return replay(engine, trace)
@@ -171,7 +170,7 @@ def run_serve_bench(
 
     def run_sync_deadline() -> ReplayReport:
         engine = ServeEngine(max_batch=max_batch, deadline_ms=deadline_ms,
-                             backend=backend, dtype=dtype)
+                             backend=backend)
         for model in models:
             engine.deploy(model)
         return replay(engine, trace, time_scale=dl_scale,
@@ -182,7 +181,7 @@ def run_serve_bench(
             async with AsyncServeEngine(
                 max_batch=max_batch, deadline_ms=deadline_ms,
                 slack_margin_ms=slack_margin_ms,
-                backend=backend, dtype=dtype,
+                backend=backend,
             ) as engine:
                 for model in models:
                     engine.deploy(model)
@@ -211,7 +210,7 @@ def run_serve_bench(
 
     def run_chaos(plan):
         engine = ServeEngine(max_batch=max_batch, deadline_ms=deadline_ms,
-                             backend=backend, dtype=dtype)
+                             backend=backend)
         for model in models:
             engine.deploy(model)
         report = replay(engine, trace, time_scale=dl_scale,
@@ -228,6 +227,9 @@ def run_serve_bench(
                                    chaos_faulted.results)
     mismatches += chaos_mismatches
     speedup = serial.wall_s / batched.wall_s if batched.wall_s > 0 else 0.0
+    # label the run with the backend the engines resolved, not the request
+    # (None defers to REPRO_BACKEND, and the precision rides in its suffix)
+    name, device, dtype_name = chaos_stats["carry_domain"]
     return {
         "streams": streams,
         "chunks_per_session": chunks_per_session,
@@ -241,8 +243,8 @@ def run_serve_bench(
         "deadline_rate_hz": float(deadline_rate_hz),
         "repeats": repeats,
         "seed": seed,
-        "backend": backend or "numpy",
-        "dtype": dtype or "float64",
+        "backend": f"{name}:{device}",
+        "dtype": dtype_name,
         "serial": serial.to_dict(),
         "batched": batched.to_dict(),
         "sync_deadline": sync_dl.to_dict(),

@@ -58,7 +58,8 @@ class Table1Row:
     search: str = "backprop"
     #: restart count of the descent phase (1 for plain backprop)
     population: int = 1
-    #: working float precision of the backend phases
+    #: working float precision the backend phases ran in (the resolved
+    #: backend's ``dtype_name``)
     dtype: str = "float64"
 
 
@@ -75,7 +76,6 @@ def run_dataset(
     population: Optional[int] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    dtype: Optional[str] = None,
 ) -> Table1Row:
     """Run the full bp-vs-grid-search protocol on one dataset.
 
@@ -95,11 +95,9 @@ def run_dataset(
 
     ``backend`` selects the array backend for both phases — the batched
     training engine (when ``batch_size > 1``) and every grid candidate's
-    reservoir/DPRR sweeps; ``None`` defers to ``REPRO_BACKEND``.
-
-    ``dtype`` selects the working float precision of those backend phases
-    ("float64" default, "float32" opt-in); ``None`` defers to the spec's
-    ``@dtype`` suffix / ``REPRO_DTYPE``.
+    reservoir/DPRR sweeps; ``None`` defers to ``REPRO_BACKEND``.  Its
+    ``@dtype`` suffix selects their working precision (``"numpy@float32"``),
+    and the row records the precision that ran.
     """
     data = load_dataset(key, size_profile=size_profile, seed=seed)
 
@@ -112,7 +110,6 @@ def run_dataset(
         population=population,
         workers=workers,
         backend=backend,
-        dtype=dtype,
         seed=seed,
     )
     clf.fit(data.u_train, data.y_train)
@@ -123,8 +120,7 @@ def run_dataset(
     # a fresh extractor with the same seed gives the identical mask and
     # standardizer, so both methods see the same feature pipeline
     extractor = DFRFeatureExtractor(n_nodes=n_nodes, seed=seed,
-                                    backend=backend,
-                                    dtype=dtype).fit(data.u_train)
+                                    backend=backend).fit(data.u_train)
     grid = GridSearch(extractor, seed=seed, workers=workers, backend=backend)
     outcome = grid.search_until(
         data.u_train,
@@ -150,7 +146,7 @@ def run_dataset(
         search=search,
         population=(clf.population_.population
                     if clf.population_ is not None else 1),
-        dtype=dtype or "float64",
+        dtype=extractor.backend.dtype_name,
     )
 
 
@@ -167,7 +163,6 @@ def run_table1(
     population: Optional[int] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    dtype: Optional[str] = None,
     verbose: bool = True,
 ) -> List[Table1Row]:
     """Run the Table 1 protocol over a set of datasets (default: all 12)."""
@@ -188,7 +183,6 @@ def run_table1(
             population=population,
             workers=workers,
             backend=backend,
-            dtype=dtype,
         )
         if verbose:
             print(

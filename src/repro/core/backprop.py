@@ -369,14 +369,10 @@ class BackpropEngine:
         paper's truncated method, ``None`` means full BPTT.
     backend:
         :class:`~repro.backend.ArrayBackend` (or spec string) executing the
-        *batched* path; ``None`` defers to the ``REPRO_BACKEND``
-        environment variable (NumPy when unset).  The per-sample path is
-        always NumPy — it is the pinned reference.
-    dtype:
-        Working precision for the batched path ("float64" default,
-        "float32" opt-in); ignored when ``backend`` is already an
-        :class:`~repro.backend.ArrayBackend` instance.  The per-sample
-        path stays float64 regardless.
+        *batched* path, in the precision its ``@dtype`` suffix names;
+        ``None`` defers to the ``REPRO_BACKEND`` environment variable
+        (NumPy when unset).  The per-sample path is always float64 NumPy —
+        it is the pinned reference.
     """
 
     def __init__(
@@ -385,7 +381,6 @@ class BackpropEngine:
         dprr: Optional[DPRR] = None,
         window: Optional[int] = 1,
         backend=None,
-        dtype: Optional[str] = None,
     ):
         self.nonlinearity = (
             Identity() if nonlinearity is None else get_nonlinearity(nonlinearity)
@@ -394,10 +389,8 @@ class BackpropEngine:
         if window is not None and window < 1:
             raise ValueError(f"window must be None or >= 1, got {window}")
         self.window = window
-        self.backend = (
-            default_backend(dtype=dtype) if backend is None
-            else resolve_backend(backend, dtype=dtype)
-        )
+        self.backend = (default_backend() if backend is None
+                        else resolve_backend(backend))
 
     def effective_window(self, n_steps: int) -> int:
         """The realized window for a series of length ``n_steps``."""

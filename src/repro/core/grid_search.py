@@ -122,16 +122,15 @@ class CandidateSearch:
     ----------
     extractor:
         A fitted :class:`~repro.core.pipeline.DFRFeatureExtractor` (shared
-        with the backpropagation pipeline for a fair comparison).
+        with the backpropagation pipeline for a fair comparison).  Its
+        ``feature_batch_size`` chunks each candidate's reservoir sweeps
+        (bounds per-worker peak memory; no numerical effect).
     a_range, b_range:
         Log10 ranges; default to the paper's.
     betas:
         Ridge candidates per grid point.
     val_fraction, seed:
         Holdout protocol for the selection criterion.
-    feature_batch_size:
-        Chunk size for each candidate's reservoir sweeps (bounds per-worker
-        peak memory; no numerical effect).
     workers:
         Worker-process count for candidate evaluation; ``None`` defers to
         the ``REPRO_WORKERS`` environment variable, 0/1 is serial.  Serial
@@ -164,7 +163,6 @@ class CandidateSearch:
         b_range: Tuple[float, float] = PAPER_B_RANGE,
         betas: Sequence[float] = PAPER_BETAS,
         val_fraction: float = 0.2,
-        feature_batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
         executor_kind: Optional[str] = None,
@@ -177,7 +175,6 @@ class CandidateSearch:
         self.b_range = tuple(b_range)
         self.betas = tuple(betas)
         self.val_fraction = float(val_fraction)
-        self.feature_batch_size = feature_batch_size
         #: array-backend spec the search was built with (descent threads it
         #: into its trainer config; the executor already carries it)
         self.backend = backend
@@ -198,7 +195,6 @@ class CandidateSearch:
             betas=self.betas,
             val_fraction=self.val_fraction,
             n_classes=n_classes,
-            feature_batch_size=self.feature_batch_size,
             base_seed=base_seed,
         )
 

@@ -61,7 +61,7 @@ PAPER_N_NODES = 30
 #: schema version of :meth:`ExtractorConfig.to_dict`; bump on any field
 #: change so persisted snapshots from other releases fail loudly in
 #: :meth:`ExtractorConfig.from_dict` instead of mis-deserializing
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 
 
 class DFRFeatureExtractor:
@@ -82,7 +82,6 @@ class DFRFeatureExtractor:
         mask_gamma: float = 1.0,
         feature_batch_size: Optional[int] = None,
         backend: Optional[str] = None,
-        dtype: Optional[str] = None,
         seed: SeedLike = None,
     ):
         if n_nodes < 1:
@@ -102,11 +101,9 @@ class DFRFeatureExtractor:
         #: many samples so the peak trace storage is bounded at
         #: ``feature_batch_size * (T+1) * N_x`` regardless of the batch size
         self.feature_batch_size = feature_batch_size
-        #: working float precision ("float64"/"float32"); None defers to
-        #: the spec's @dtype suffix / REPRO_DTYPE (float64 when unset)
-        self.dtype = dtype
-        #: array backend spec for the reservoir/DPRR sweeps; None defers to
-        #: the REPRO_BACKEND environment variable (NumPy when unset).  The
+        #: array backend spec for the reservoir/DPRR sweeps, its ``@dtype``
+        #: suffix choosing the working precision; None defers to the
+        #: REPRO_BACKEND environment variable (NumPy when unset).  The
         #: spec string (not the resolved object) is what snapshots carry.
         self.set_backend(backend)
         self._rng = ensure_rng(seed)
@@ -121,17 +118,16 @@ class DFRFeatureExtractor:
     def set_backend(self, backend: Optional[str]) -> None:
         """(Re)bind the array backend executing the feature sweeps.
 
-        ``backend`` is a spec string (``"numpy"``, ``"torch:cuda:0"``, ...)
-        or ``None`` for the ``REPRO_BACKEND`` environment default; the
-        resolved :class:`~repro.backend.ArrayBackend` is cached on the
-        extractor.  Used by the execution layer to re-target a rebuilt
-        extractor inside a :class:`~repro.exec.BackendExecutor`.
+        ``backend`` is a spec string (``"numpy"``, ``"torch:cuda:0"``,
+        ``"numpy@float32"``, ...) or ``None`` for the ``REPRO_BACKEND``
+        environment default; the resolved
+        :class:`~repro.backend.ArrayBackend` is cached on the extractor.
+        Used by the execution layer to re-target a rebuilt extractor
+        inside a :class:`~repro.exec.BackendExecutor`.
         """
         self.backend_spec = backend
-        self.backend = (
-            default_backend(dtype=self.dtype) if backend is None
-            else resolve_backend(backend, dtype=self.dtype)
-        )
+        self.backend = (default_backend() if backend is None
+                        else resolve_backend(backend))
 
     def fit(self, u_train: np.ndarray) -> "DFRFeatureExtractor":
         """Fit the standardizer and draw the mask from the training inputs."""
@@ -143,10 +139,7 @@ class DFRFeatureExtractor:
         self.reservoir = ModularDFR(mask, nonlinearity=self.nonlinearity)
         return self
 
-    def features(
-        self, u: np.ndarray, A, B,
-        *, batch_size: Optional[int] = None,
-    ) -> tuple:
+    def features(self, u: np.ndarray, A, B) -> tuple:
         """DPRR features for a batch under candidate parameters.
 
         Returns ``(features, diverged)`` where ``diverged`` is the per-sample
@@ -160,20 +153,20 @@ class DFRFeatureExtractor:
         NumPy backend each candidate row is bit-identical to a scalar call
         with that candidate (pinned by tests).
 
-        ``batch_size`` (default: the extractor's ``feature_batch_size``)
-        chunks the reservoir sweep over samples, bounding peak memory; the
-        features are identical either way since samples are independent.
+        The extractor's ``feature_batch_size`` chunks the reservoir sweep
+        over samples, bounding peak memory; the features are identical
+        either way since samples are independent.
 
         The sweep runs on the extractor's array backend; the returned
-        arrays are always NumPy (the ridge solver downstream is NumPy), so
-        the device boundary sits exactly here.
+        arrays are always NumPy (the ridge solver downstream is NumPy), in
+        the backend's working precision, so the device boundary sits
+        exactly here.
         """
         if self.reservoir is None:
             raise RuntimeError("extractor must be fitted before use")
         xb = self.backend
         u_std = as_batch(self.standardizer.transform(u))
-        if batch_size is None:
-            batch_size = self.feature_batch_size
+        batch_size = self.feature_batch_size
         n = u_std.shape[0]
         if batch_size is None or n <= batch_size:
             trace = self.reservoir.run(u_std, A, B, backend=xb)
@@ -181,7 +174,7 @@ class DFRFeatureExtractor:
             return feats, trace.diverged
         stacked = not (np.ndim(A) == 0 and np.ndim(B) == 0)
         lead = (np.broadcast(np.atleast_1d(A), np.atleast_1d(B)).size,) if stacked else ()
-        feats = np.empty(lead + (n, self.n_features))
+        feats = np.empty(lead + (n, self.n_features), dtype=xb.dtype_name)
         diverged = np.empty(lead + (n,), dtype=bool)
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
@@ -212,7 +205,6 @@ class DFRFeatureExtractor:
             mean=np.array(self.standardizer.mean_, copy=True),
             std=np.array(self.standardizer.std_, copy=True),
             backend=self.backend_spec,
-            dtype=self.dtype,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -242,12 +234,10 @@ class ExtractorConfig:
     mean: np.ndarray
     std: np.ndarray
     #: array-backend *spec string* (never a live backend — specs pickle,
-    #: device handles do not); None re-resolves REPRO_BACKEND on build,
-    #: so worker processes honour their own environment
+    #: device handles do not), precision suffix included; None re-resolves
+    #: REPRO_BACKEND on build, so worker processes honour their own
+    #: environment
     backend: Optional[str] = None
-    #: working float precision ("float64"/"float32"); None defers to the
-    #: spec's @dtype suffix / REPRO_DTYPE on build
-    dtype: Optional[str] = None
     #: schema version stamped on every snapshot; :meth:`from_dict` rejects
     #: versions this release does not know how to read
     version: int = CONFIG_SCHEMA_VERSION
@@ -275,7 +265,6 @@ class ExtractorConfig:
             "mean": np.asarray(self.mean, dtype=np.float64).tolist(),
             "std": np.asarray(self.std, dtype=np.float64).tolist(),
             "backend": self.backend,
-            "dtype": self.dtype,
         }
 
     @classmethod
@@ -291,7 +280,7 @@ class ExtractorConfig:
             data,
             {"version", "n_nodes", "nonlinearity", "normalize", "mask_kind",
              "mask_gamma", "feature_batch_size", "mask_matrix", "mean", "std",
-             "backend", "dtype"},
+             "backend"},
             what="ExtractorConfig snapshot", version=CONFIG_SCHEMA_VERSION,
             version_key="version",
         )
@@ -321,7 +310,6 @@ class ExtractorConfig:
             mean=np.asarray(data["mean"], dtype=np.float64),
             std=np.asarray(data["std"], dtype=np.float64),
             backend=data["backend"],
-            dtype=data["dtype"],
             version=int(data["version"]),
         )
 
@@ -335,7 +323,6 @@ class ExtractorConfig:
             mask_gamma=self.mask_gamma,
             feature_batch_size=self.feature_batch_size,
             backend=self.backend,
-            dtype=self.dtype,
         )
         extractor.standardizer.mean_ = np.array(self.mean, copy=True)
         extractor.standardizer.std_ = np.array(self.std, copy=True)
@@ -407,7 +394,6 @@ def evaluate_fixed_params(
     betas: Sequence[float] = PAPER_BETAS,
     val_fraction: float = 0.2,
     n_classes: Optional[int] = None,
-    feature_batch_size: Optional[int] = None,
     seed: SeedLike = None,
 ) -> FixedParamsEvaluation:
     """Evaluate fixed reservoir parameters exactly like the pipeline would.
@@ -415,10 +401,10 @@ def evaluate_fixed_params(
     Runs the reservoir, selects ``beta`` by holdout cross-entropy, refits on
     the full training set and scores the test set.  Diverged reservoirs are
     reported with infinite loss and zero accuracy instead of raising, so a
-    grid sweep can cross unstable corners of the search box.
-    ``feature_batch_size`` chunks the reservoir sweeps (identical features,
-    bounded memory) — unrelated to the SGD minibatch size of
-    :class:`~repro.core.trainer.TrainerConfig`.
+    grid sweep can cross unstable corners of the search box.  The
+    extractor's ``feature_batch_size`` chunks the reservoir sweeps
+    (identical features, bounded memory) — unrelated to the SGD minibatch
+    size of :class:`~repro.core.trainer.TrainerConfig`.
 
     ``extractor`` may be a live (fitted) :class:`DFRFeatureExtractor` or an
     :class:`ExtractorConfig` snapshot; the two paths compute bit-identical
@@ -431,12 +417,8 @@ def evaluate_fixed_params(
     y_test = ensure_1d_labels(y_test)
     if n_classes is None:
         n_classes = int(max(y_train.max(), y_test.max())) + 1
-    f_train, div_train = extractor.features(
-        u_train, A, B, batch_size=feature_batch_size
-    )
-    f_test, div_test = extractor.features(
-        u_test, A, B, batch_size=feature_batch_size
-    )
+    f_train, div_train = extractor.features(u_train, A, B)
+    f_test, div_test = extractor.features(u_test, A, B)
     return _score_fixed_params(
         f_train, f_test, y_train, y_test, A, B,
         diverged=bool(div_train.any() or div_test.any()),
@@ -499,7 +481,6 @@ def evaluate_fixed_params_block(
     betas: Sequence[float] = PAPER_BETAS,
     val_fraction: float = 0.2,
     n_classes: Optional[int] = None,
-    feature_batch_size: Optional[int] = None,
     seeds: Optional[Sequence] = None,
 ) -> List[FixedParamsEvaluation]:
     """Evaluate a block of K ``(A, B)`` candidates in one fused sweep.
@@ -544,12 +525,8 @@ def evaluate_fixed_params_block(
         raise ValueError(
             f"need one seed per candidate ({n_cand}), got {len(seeds)}"
         )
-    f_train, div_train = extractor.features(
-        u_train, A_values, B_values, batch_size=feature_batch_size
-    )
-    f_test, div_test = extractor.features(
-        u_test, A_values, B_values, batch_size=feature_batch_size
-    )
+    f_train, div_train = extractor.features(u_train, A_values, B_values)
+    f_test, div_test = extractor.features(u_test, A_values, B_values)
     out: List[FixedParamsEvaluation] = []
     for k in range(n_cand):
         a_k = float(A_values[k])
@@ -617,14 +594,10 @@ class DFRClassifier:
         ``batch_size > 1`` — the batched training engine.  ``None`` defers
         to the ``REPRO_BACKEND`` environment variable (NumPy when unset);
         the per-sample SGD of ``batch_size=1`` always runs the pinned
-        NumPy reference.
-    dtype:
-        Working float precision for the backend sweeps and the batched
-        engine: ``None`` defers to the backend spec's ``@dtype`` suffix /
-        ``REPRO_DTYPE`` (float64 when unset); ``"float32"`` opts into
-        single precision (rtol-bounded against the float64 reference —
-        tolerance contract in ``docs/ARCHITECTURE.md``).  The per-sample
-        SGD path stays float64 regardless.
+        float64 NumPy reference.  An ``@float32`` suffix
+        (``"numpy@float32"``) opts those sweeps into single precision
+        (rtol-bounded against the float64 reference — tolerance contract
+        in ``docs/ARCHITECTURE.md``).
     seed:
         Master seed (mask, shuffling, splits).
 
@@ -652,7 +625,6 @@ class DFRClassifier:
         population: Optional[int] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        dtype: Optional[str] = None,
         seed: SeedLike = None,
     ):
         if search not in ("backprop", "descent"):
@@ -664,7 +636,6 @@ class DFRClassifier:
         self.population = population
         self.workers = workers
         self.backend = backend
-        self.dtype = dtype
         self._executor = None
         self._executor_workers = None
         self.extractor = DFRFeatureExtractor(
@@ -674,7 +645,6 @@ class DFRClassifier:
             mask_kind=mask_kind,
             mask_gamma=mask_gamma,
             backend=backend,
-            dtype=dtype,
             seed=self._rng,
         )
         self.config = config if config is not None else TrainerConfig()
@@ -682,8 +652,6 @@ class DFRClassifier:
             self.config = replace(self.config, batch_size=int(batch_size))
         if backend is not None and self.config.backend is None:
             self.config = replace(self.config, backend=backend)
-        if dtype is not None and self.config.dtype is None:
-            self.config = replace(self.config, dtype=dtype)
         self.betas = tuple(betas)
         self.val_fraction = float(val_fraction)
         # fitted attributes
@@ -908,7 +876,6 @@ class DFRClassifier:
             betas=self.betas,
             val_fraction=self.val_fraction,
             n_classes=self.n_classes_,
-            feature_batch_size=self.extractor.feature_batch_size,
         )
         candidates = [
             Candidate(index=i, A=float(a), B=float(b), seed=split_seed)

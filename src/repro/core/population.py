@@ -307,7 +307,7 @@ class PopulationTrainer:
         self.rng = ensure_rng(seed)
         self.engine = BackpropEngine(
             reservoir.nonlinearity, dprr=self.dprr, window=self.config.window,
-            backend=self.config.backend, dtype=self.config.dtype,
+            backend=self.config.backend,
         )
         self.backend = self.engine.backend
 

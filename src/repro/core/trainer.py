@@ -74,26 +74,18 @@ class TrainerConfig:
     divergence_shrink: float = 0.7
     shuffle: bool = True
     optimizer: str = "sgd"
-    #: array backend for minibatch SGD (``batch_size > 1``): a name
-    #: such as "numpy" / "torch" / "torch:cuda:0" / "cupy", or None to
-    #: defer to the ``REPRO_BACKEND`` environment variable (NumPy when
-    #: unset).  The ``batch_size=1`` per-sample path is the paper's pinned
-    #: NumPy reference and ignores this knob.
+    #: array backend for minibatch SGD (``batch_size > 1``): a spec
+    #: such as "numpy" / "torch" / "torch:cuda:0" / "cupy", whose
+    #: ``@float32`` suffix opts into single precision (rtol-bounded, see
+    #: docs/ARCHITECTURE.md), or None to defer to the ``REPRO_BACKEND``
+    #: environment variable (NumPy when unset).  The ``batch_size=1``
+    #: per-sample path is the paper's pinned float64 NumPy reference and
+    #: ignores this knob.
     backend: Optional[str] = None
-    #: working float precision of minibatch SGD: None defers to the
-    #: spec's ``@dtype`` suffix / ``REPRO_DTYPE`` (float64 when unset);
-    #: "float32" opts into single precision (rtol-bounded, see
-    #: docs/ARCHITECTURE.md).  The per-sample path stays float64.
-    dtype: Optional[str] = None
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.dtype not in (None, "float64", "float32"):
-            raise ValueError(
-                f"dtype must be None, 'float64' or 'float32', "
-                f"got {self.dtype!r}"
-            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.window is not None and self.window < 1:

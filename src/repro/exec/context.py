@@ -140,7 +140,6 @@ class EvaluationContext:
     betas: Tuple[float, ...] = PAPER_BETAS
     val_fraction: float = 0.2
     n_classes: Optional[int] = None
-    feature_batch_size: Optional[int] = None
     #: fallback entropy for candidates submitted without an explicit seed
     base_seed: Optional[int] = None
     #: array-backend spec overriding the extractor's own for this
@@ -165,7 +164,6 @@ class EvaluationContext:
         betas: Sequence[float] = PAPER_BETAS,
         val_fraction: float = 0.2,
         n_classes: Optional[int] = None,
-        feature_batch_size: Optional[int] = None,
         base_seed: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> "EvaluationContext":
@@ -183,7 +181,6 @@ class EvaluationContext:
             betas=tuple(betas),
             val_fraction=float(val_fraction),
             n_classes=n_classes,
-            feature_batch_size=feature_batch_size,
             base_seed=base_seed,
             backend=backend,
         )
@@ -217,7 +214,6 @@ class EvaluationContext:
             betas=self.betas,
             val_fraction=self.val_fraction,
             n_classes=self.n_classes,
-            feature_batch_size=self.feature_batch_size,
             seed=self.candidate_seed(candidate),
         )
 
@@ -242,7 +238,6 @@ class EvaluationContext:
             betas=self.betas,
             val_fraction=self.val_fraction,
             n_classes=self.n_classes,
-            feature_batch_size=self.feature_batch_size,
             seeds=[self.candidate_seed(c) for c in candidates],
         )
 

@@ -279,13 +279,13 @@ class SerialExecutor(CandidateExecutor):
     def run(self, context: EvaluationContext,
             candidates: Sequence[Candidate]) -> SubmissionReport:
         start = time.perf_counter()
-        results = _run_serially(context, candidates)
+        results = _run_serially(self._apply_backend(context), candidates)
         return SubmissionReport(
             results=results, wall_seconds=time.perf_counter() - start,
         )
 
 
-class BackendExecutor(CandidateExecutor):
+class BackendExecutor(SerialExecutor):
     """In-process evaluation on a chosen array backend (device-resident).
 
     Candidates are scored sequentially in this process, but every reservoir
@@ -305,10 +305,9 @@ class BackendExecutor(CandidateExecutor):
         construction time, not mid-search.
 
     With ``backend="numpy"`` this is bit-identical to
-    :class:`SerialExecutor` (pinned by ``tests/test_backend.py``).
+    :class:`SerialExecutor` (pinned by ``tests/test_backend.py``): it *is*
+    the serial executor, with a spec to stamp.
     """
-
-    workers = 1
 
     def __init__(self, backend: Optional[str] = None):
         from repro.backend import BACKEND_ENV_VAR, resolve_backend
@@ -318,14 +317,6 @@ class BackendExecutor(CandidateExecutor):
         self.backend_spec = backend
         #: resolved backend (eager, so a missing library fails here)
         self.backend = resolve_backend(backend)
-
-    def run(self, context: EvaluationContext,
-            candidates: Sequence[Candidate]) -> SubmissionReport:
-        start = time.perf_counter()
-        results = _run_serially(self._apply_backend(context), candidates)
-        return SubmissionReport(
-            results=results, wall_seconds=time.perf_counter() - start,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"BackendExecutor(backend={self.backend.name!r})"

@@ -224,14 +224,13 @@ class _Deployment:
     __slots__ = ("model", "extractor", "fingerprint", "n_channels",
                  "_readout_native")
 
-    def __init__(self, model: ServableModel, backend_spec: Optional[str],
-                 dtype: Optional[str]):
+    def __init__(self, model: ServableModel, backend_spec: Optional[str]):
         self.model = model
-        # rebuild under the *engine's* backend/dtype, not the snapshot's
-        # preference — one engine, one numerics contract
+        # rebuild under the *engine's* backend spec (precision suffix
+        # included), not the snapshot's preference — one engine, one
+        # numerics contract
         cfg = model.config
         self.extractor = cfg.build()
-        self.extractor.dtype = dtype
         self.extractor.set_backend(backend_spec)
         self.fingerprint = model.fingerprint()
         self.n_channels = int(np.asarray(cfg.mask_matrix).shape[1])
@@ -291,11 +290,12 @@ class ServeEngine:
         chunk must be at least this many steps long (the resumable-state
         ring invariant); serving needs no backprop window, so the default
         1 keeps per-stream state minimal.
-    backend, dtype:
-        Array backend spec / precision for the fused sweeps; ``None``
-        defers to ``REPRO_BACKEND`` / ``REPRO_DTYPE``.  The bitwise
-        batched-equals-serial contract holds on NumPy; device backends
-        serve under the usual tolerance contract.
+    backend:
+        Array backend spec for the fused sweeps, its ``@dtype`` suffix
+        choosing the precision (``"numpy@float32"``); ``None`` defers to
+        ``REPRO_BACKEND``.  The bitwise batched-equals-serial contract
+        holds on NumPy; device backends serve under the usual tolerance
+        contract.
     clock:
         Monotonic time source (seconds); injectable for deterministic
         scheduling tests (and replaced wholesale by the virtual-clock
@@ -316,7 +316,7 @@ class ServeEngine:
                  sweep_retries: int = 1,
                  shed_after_ms: Optional[float] = None,
                  window: int = 1,
-                 backend: Optional[str] = None, dtype: Optional[str] = None,
+                 backend: Optional[str] = None,
                  clock: Optional[Callable[[], float]] = None):
         self.max_batch = resolve_max_batch(max_batch)
         self.deadline_ms = resolve_deadline_ms(deadline_ms)
@@ -357,9 +357,8 @@ class ServeEngine:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self._backend_spec = backend
-        self._dtype = dtype
-        self.backend = (default_backend(dtype=dtype) if backend is None
-                        else resolve_backend(backend, dtype=dtype))
+        self.backend = (default_backend() if backend is None
+                        else resolve_backend(backend))
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.RLock()
         self._deployments: Dict[str, _Deployment] = {}
@@ -414,7 +413,7 @@ class ServeEngine:
         with self._lock:
             if model.name in self._deployments:
                 raise ValueError(f"model {model.name!r} is already deployed")
-            dep = _Deployment(model, self._backend_spec, self._dtype)
+            dep = _Deployment(model, self._backend_spec)
             self._deployments[model.name] = dep
             return model.name
 

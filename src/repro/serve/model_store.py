@@ -96,13 +96,13 @@ class ServableModel:
         Two deployed models with equal fingerprints produce identical
         standardized inputs and mask drives, so the engine may pack their
         sessions into one fused sweep with the models' ``(A, B)`` pairs on
-        the candidate axis.  ``A``/``B`` themselves, the readout, and the
-        backend/dtype *preferences* are deliberately excluded — the first
-        two live on the candidate axis, the last two are overridden by the
-        engine's own backend.
+        the candidate axis.  ``A``/``B`` themselves, the readout, the
+        backend *preference* and the chunk size are deliberately excluded —
+        the first two live on the candidate axis, the backend is overridden
+        by the engine's own, and chunking never changes a feature.
         """
         cfg = self.config.to_dict()
-        for key in ("backend", "dtype", "feature_batch_size"):
+        for key in ("backend", "feature_batch_size"):
             cfg.pop(key)
         payload = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

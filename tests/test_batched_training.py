@@ -319,12 +319,12 @@ class TestMinibatchTrajectoryPin:
     independent reference for the fused one.  Like every batched bit-pin
     they assume one BLAS thread and the same OpenBLAS kernel
     (docs/ARCHITECTURE.md, "The DPRR contraction"), and both fits name the
-    float64 NumPy backend, so ``REPRO_BACKEND``/``REPRO_DTYPE`` cannot move
-    them onto another backend.
+    float64 NumPy backend, so ``REPRO_BACKEND`` cannot move them onto
+    another backend or precision.
     """
 
     #: the NumPy reference the goldens were recorded on
-    NUMPY = dict(backend="numpy", dtype="float64")
+    NUMPY = dict(backend="numpy")
 
     #: the module fixture at TrainerConfig(epochs=4, batch_size=8).  A ends
     #: on the 1e-6 clamp floor: the batched accuracy collapse, which a fix
@@ -417,7 +417,8 @@ class TestPipelineThreading:
         # order, so the exact-equality pin belongs to the reference backend
         ext = DFRFeatureExtractor(n_nodes=6, backend="numpy", seed=0).fit(u)
         full, div_full = ext.features(u, 0.2, 0.3)
-        chunked, div_chunked = ext.features(u, 0.2, 0.3, batch_size=5)
+        ext.feature_batch_size = 5
+        chunked, div_chunked = ext.features(u, 0.2, 0.3)
         np.testing.assert_array_equal(full, chunked)
         np.testing.assert_array_equal(div_full, div_chunked)
 

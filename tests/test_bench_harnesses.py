@@ -21,7 +21,8 @@ from repro.bench.matrix import (
     parse_spec_arg,
     run_matrix,
 )
-from repro.bench.table1 import Table1Row, format_table1
+from repro.bench.serve import run_serve_bench
+from repro.bench.table1 import Table1Row, format_table1, run_dataset
 from repro.bench.table2 import format_table2, run_table2
 from repro.data.metadata import PAPER_TABLE2, dataset_keys
 from repro.data.registry import spec_for_dataset
@@ -84,6 +85,24 @@ class TestTable1Formatting:
     def test_unknown_dataset_tolerated(self):
         text = format_table1([self._row(dataset="TOY")])
         assert "TOY" in text and "-" in text
+
+
+class TestReportedPrecision:
+    """Reports name the precision of the backend that ran, whether the
+    spec arrives as ``backend=`` or only through ``REPRO_BACKEND``."""
+
+    def test_table1_row(self, float32_spec):
+        row = run_dataset("JPVOW", epochs=1, max_divisions=1, batch_size=16,
+                          backend=float32_spec)
+        assert row.dtype == "float32"
+        assert "[dtype float32]" in format_table1([row])
+
+    def test_serve_report(self, float32_spec):
+        result = run_serve_bench(streams=4, chunks_per_session=2,
+                                 chunk_len=16, n_nodes=6, repeats=1,
+                                 deadline_rate_hz=200.0, backend=float32_spec)
+        assert result["backend"] == "numpy:cpu"
+        assert result["dtype"] == "float32"
 
 
 class TestFig6Result:

@@ -115,6 +115,17 @@ class TestMatrixSuiteCondense:
         )
 
 
+class TestEntryTags:
+    def test_dtype_follows_the_backend_suffix(self, bench_history,
+                                              monkeypatch):
+        # the tag names the precision REPRO_BACKEND resolves to, in the
+        # values older entries carry
+        monkeypatch.setenv("REPRO_BACKEND", "numpy@float32")
+        assert bench_history.build_entry({})["dtype"] == "float32"
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert bench_history.build_entry({})["dtype"] == "float64"
+
+
 class TestMachineFingerprint:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="needs os.sched_getaffinity")

@@ -9,7 +9,7 @@ value raises under both.
 
 import pytest
 
-from repro.backend import DTYPE_ENV_VAR, default_backend
+from repro.backend import BACKEND_ENV_VAR, default_backend
 from repro.backend.scan import (
     FILTER_IMPL_ENV_VAR,
     SCAN_CROSSOVER_ENV_VAR,
@@ -137,7 +137,7 @@ STRICT = [
     (resolve_idle_ttl_ms, SERVE_IDLE_TTL_ENV),
     (resolve_filter_impl, FILTER_IMPL_ENV_VAR),
     (scan_crossover, SCAN_CROSSOVER_ENV_VAR),
-    (default_backend, DTYPE_ENV_VAR),
+    (default_backend, BACKEND_ENV_VAR),
 ]
 
 

@@ -21,7 +21,6 @@ from repro.backend import (
     BackendUnavailableError,
     NumpyBackend,
     resolve_backend,
-    with_dtype,
 )
 from repro.backend.scan import (
     DEFAULT_SCAN_CROSSOVER,
@@ -307,7 +306,7 @@ class TestLRUCache:
 
 
 # --------------------------------------------------------------------- #
-# mixed precision (dtype knob and spec grammar)
+# mixed precision (the backend spec's @dtype suffix)
 # --------------------------------------------------------------------- #
 
 
@@ -316,33 +315,18 @@ class TestMixedPrecision:
         xb32 = resolve_backend("numpy@float32")
         assert xb32.dtype_name == "float32"
         assert xb32 is resolve_backend("numpy@float32")
-        assert xb32 is resolve_backend("numpy", dtype="float32")
         # default-dtype specs keep resolving to the shared singleton
         assert resolve_backend("numpy@float64") is resolve_backend("numpy")
-        assert resolve_backend(None, dtype="float64") is \
-            resolve_backend("numpy")
         with pytest.raises(ValueError, match="dtype"):
             resolve_backend("numpy@float16")
-
-    def test_with_dtype_helper(self):
-        assert with_dtype("numpy", "float32") == "numpy@float32"
-        assert with_dtype("torch:cuda:0@float64", "float32") == \
-            "torch:cuda:0@float32"
-        assert with_dtype("numpy@float32", "float64") == "numpy"
-        assert with_dtype(None, "float32") == "numpy@float32"
-        assert with_dtype(resolve_backend("numpy"), "float32") == \
-            "numpy@float32"
-        with pytest.raises(ValueError, match="dtype"):
-            with_dtype("numpy", "int8")
 
     def test_repro_dtype_env(self, monkeypatch):
         from repro.backend import default_backend
 
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy@float32")
         assert default_backend().dtype_name == "float32"
-        monkeypatch.setenv("REPRO_DTYPE", "float16")
-        with pytest.raises(ValueError, match="REPRO_DTYPE"):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy@float16")
+        with pytest.raises(ValueError, match="REPRO_BACKEND"):
             default_backend()
 
     def test_float32_arrays_stay_float32(self):
@@ -376,7 +360,8 @@ class TestMixedPrecision:
         gen = np.random.default_rng(21)
         u = gen.normal(size=(12, 40, 3))
         f64 = DFRFeatureExtractor(n_nodes=10, seed=0).fit(u)
-        f32 = DFRFeatureExtractor(n_nodes=10, seed=0, dtype="float32").fit(u)
+        f32 = DFRFeatureExtractor(n_nodes=10, seed=0,
+                                  backend="numpy@float32").fit(u)
         feats64, div64 = f64.features(u, 0.2, 0.3)
         feats32, div32 = f32.features(u, 0.2, 0.3)
         assert feats32.dtype == np.float32
@@ -405,36 +390,117 @@ class TestMixedPrecision:
         targets = one_hot(gen.integers(0, 3, size=8), 3)
         win = trace.final_window(1)
 
-        def grads(dtype):
-            engine = BackpropEngine(window=1, dprr=dprr, backend="numpy",
-                                    dtype=dtype)
+        def grads(backend):
+            engine = BackpropEngine(window=1, dprr=dprr, backend=backend)
             return engine.batch_gradients(
                 win.window_states, win.window_pre_activations, feats,
                 readout, targets, 0.2, 0.3, n_steps=trace.n_steps)
 
-        g64 = grads(None)
-        g32 = grads("float32")
+        g64 = grads("numpy")
+        g32 = grads("numpy@float32")
         np.testing.assert_allclose(g32.d_A, g64.d_A, rtol=1e-2, atol=1e-5)
         np.testing.assert_allclose(g32.d_B, g64.d_B, rtol=1e-2, atol=1e-5)
         np.testing.assert_allclose(g32.losses, g64.losses,
                                    rtol=1e-3, atol=1e-5)
-
-    def test_trainer_config_validates_dtype(self):
-        from repro.core.trainer import TrainerConfig
-
-        assert TrainerConfig(dtype="float32").dtype == "float32"
-        with pytest.raises(ValueError, match="dtype"):
-            TrainerConfig(dtype="bf16")
 
     def test_extractor_config_roundtrips_dtype(self):
         from repro.core.pipeline import DFRFeatureExtractor
 
         gen = np.random.default_rng(23)
         u = gen.normal(size=(6, 20, 2))
-        ext = DFRFeatureExtractor(n_nodes=6, seed=0, dtype="float32").fit(u)
+        ext = DFRFeatureExtractor(n_nodes=6, seed=0,
+                                  backend="numpy@float32").fit(u)
         rebuilt = ext.snapshot().build()
-        assert rebuilt.dtype == "float32"
+        assert rebuilt.backend_spec == "numpy@float32"
         assert rebuilt.backend.dtype_name == "float32"
         f_a, _ = ext.features(u, 0.2, 0.3)
         f_b, _ = rebuilt.features(u, 0.2, 0.3)
         np.testing.assert_array_equal(f_a, f_b)
+
+    @pytest.mark.parametrize(
+        "A, B", [(0.2, 0.3), (np.array([0.2, 0.4]), np.array([0.3, 0.1]))],
+        ids=["scalar", "stacked"])
+    def test_chunked_features_keep_backend_precision(self, A, B):
+        # chunking bounds memory only: the chunked output must be the
+        # unchunked one, dtype and bytes
+        from repro.core.pipeline import DFRFeatureExtractor
+
+        u = np.random.default_rng(24).normal(size=(10, 20, 2))
+        ext = DFRFeatureExtractor(n_nodes=6, seed=0,
+                                  backend="numpy@float32").fit(u)
+        whole, div_whole = ext.features(u, A, B)
+        ext.feature_batch_size = 4
+        chunked, div_chunked = ext.features(u, A, B)
+        assert whole.dtype == chunked.dtype == np.float32
+        assert chunked.tobytes() == whole.tobytes()
+        np.testing.assert_array_equal(div_chunked, div_whole)
+
+
+class TestPrecisionSuffixEntryPoints:
+    """``@float32`` reaches every entry point that runs the batched path,
+    whether passed as ``backend=`` or set only through ``REPRO_BACKEND``."""
+
+    @pytest.fixture
+    def sweep_dtypes(self, monkeypatch):
+        """The working precision of every reservoir sweep that runs."""
+        from repro.reservoir.modular import ModularDFR
+
+        seen = []
+        run = ModularDFR.run
+
+        def spy(self, u, A, B, *, backend=None):
+            seen.append(getattr(backend, "dtype_name", "float64"))
+            return run(self, u, A, B, backend=backend)
+
+        monkeypatch.setattr(ModularDFR, "run", spy)
+        return seen
+
+    @pytest.fixture
+    def toy(self):
+        gen = np.random.default_rng(25)
+        return gen.normal(size=(12, 20, 2)), gen.integers(0, 3, size=12)
+
+    def test_feature_extractor_and_pickled_config(self, float32_spec, toy):
+        import pickle
+
+        from repro.core.pipeline import DFRFeatureExtractor
+
+        u, _ = toy
+        ext = DFRFeatureExtractor(n_nodes=6, seed=0,
+                                  backend=float32_spec).fit(u)
+        assert ext.backend.dtype_name == "float32"
+        assert ext.features(u, 0.2, 0.3)[0].dtype == np.float32
+        config = pickle.loads(pickle.dumps(ext.snapshot()))
+        assert config.build().backend.dtype_name == "float32"
+
+    def test_minibatch_trainers(self, float32_spec, toy, sweep_dtypes):
+        from repro.core.population import PopulationTrainer
+        from repro.core.trainer import BackpropTrainer, TrainerConfig
+        from repro.reservoir.masking import InputMask
+        from repro.reservoir.modular import ModularDFR
+
+        u, y = toy
+        reservoir = ModularDFR(InputMask.binary(6, 2, seed=0))
+        config = TrainerConfig(epochs=1, batch_size=4, backend=float32_spec)
+        BackpropTrainer(reservoir, 3, config=config, seed=0).fit(u, y)
+        population = PopulationTrainer(reservoir, 3, config=config, seed=0)
+        assert population.backend.dtype_name == "float32"
+        population.fit(u, y, np.array([0.01, 0.2]), np.array([0.01, 0.3]))
+        assert sweep_dtypes and set(sweep_dtypes) == {"float32"}
+
+    def test_classifier(self, float32_spec, toy, sweep_dtypes):
+        from repro.core.pipeline import DFRClassifier
+        from repro.core.trainer import TrainerConfig
+
+        u, y = toy
+        clf = DFRClassifier(n_nodes=6, config=TrainerConfig(epochs=1),
+                            batch_size=4, backend=float32_spec, seed=0)
+        clf.fit(u, y)
+        assert clf.extractor.backend.dtype_name == "float32"
+        assert sweep_dtypes and set(sweep_dtypes) == {"float32"}
+
+    def test_serve_engine(self, float32_spec):
+        from repro.serve import ServeEngine
+
+        engine = ServeEngine(backend=float32_spec)
+        assert engine.stats()["carry_domain"] == ("numpy", "cpu", "float32")

@@ -211,6 +211,19 @@ class TestExtractorConfigSchema:
         with pytest.raises(ValueError, match="schema version"):
             ExtractorConfig.from_dict(data)
 
+    def test_version_one_snapshot_rejected(self):
+        # version 1 carried a "dtype" key; the precision now rides in the
+        # backend spec, so an older snapshot fails instead of half-loading
+        from repro.core.pipeline import ExtractorConfig
+
+        data = self._config().to_dict()
+        data["version"] = 1
+        with pytest.raises(ValueError, match="schema version"):
+            ExtractorConfig.from_dict(data)
+        data["dtype"] = "float32"
+        with pytest.raises(ValueError, match="unknown keys.*dtype"):
+            ExtractorConfig.from_dict(data)
+
     def test_unknown_nonlinearity_rejected(self):
         from repro.core.pipeline import ExtractorConfig
 

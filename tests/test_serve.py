@@ -143,7 +143,7 @@ class TestModelStore:
         assert a.fingerprint() == b.fingerprint()
         ext, _, _, _ = trained
         cfg = ext.snapshot()
-        cfg.dtype = "float32"
+        cfg.backend = "numpy@float32"
         c = ServableModel(name="c", A=0.2, B=0.7, config=cfg)
         assert c.fingerprint() == a.fingerprint()
 

@@ -322,11 +322,11 @@ class TestStackedPipelineFeatures:
             np.testing.assert_array_equal(feats[k], ref_f)
             np.testing.assert_array_equal(div[k], ref_d)
 
-    def test_feature_batch_size_chunking_identical(self, toy):
+    def test_feature_batch_size_chunking_identical(self, toy, monkeypatch):
         data, ext = toy
         full, div_full = ext.features(data.u_train, A_VEC, B_VEC)
-        chunked, div_chunked = ext.features(data.u_train, A_VEC, B_VEC,
-                                            batch_size=7)
+        monkeypatch.setattr(ext, "feature_batch_size", 7)
+        chunked, div_chunked = ext.features(data.u_train, A_VEC, B_VEC)
         np.testing.assert_array_equal(full, chunked)
         np.testing.assert_array_equal(div_full, div_chunked)
 

@@ -111,6 +111,19 @@ def _available_backends() -> list:
         return available_backends()
 
 
+def _backend_dtype() -> str:
+    """Working precision of the ``REPRO_BACKEND`` default the suite ran on.
+
+    Read from the resolved backend, so the spec's ``@dtype`` suffix
+    (``REPRO_BACKEND=torch@float32``) tags the entry; the values stay
+    ``"float64"``/``"float32"``, comparable with older entries.
+    """
+    with _checkout_package():
+        from repro.backend import default_backend
+
+        return default_backend().dtype_name
+
+
 def _suite_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -290,7 +303,7 @@ def build_entry(benchmarks: dict, suite: str = "training") -> dict:
         "suite": suite,
         "machine": machine_fingerprint(),
         "backends": _available_backends(),
-        "dtype": os.environ.get("REPRO_DTYPE", "") or "float64",
+        "dtype": _backend_dtype(),
         "backend_env": os.environ.get("REPRO_BACKEND", "") or "numpy",
         "benchmarks": benchmarks,
     }

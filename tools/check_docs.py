@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker: snippets, local links, env-var drift.
+"""Documentation checker: snippets, local links, env-var and CLI drift.
 
-Three checks, all cheap enough to gate CI (the ``docs`` job runs this):
+Four checks, all cheap enough to gate CI (the ``docs`` job runs this):
 
 1. **Snippet execution.**  Every fenced ``python`` code block immediately
    preceded by an ``<!-- check:exec -->`` marker is executed in a fresh
@@ -15,6 +15,13 @@ Three checks, all cheap enough to gate CI (the ``docs`` job runs this):
    mentions must equal the ``"REPRO_*"`` string literals under
    ``src/repro``, in both directions: every variable the package reads is
    documented, and no documented variable is stale.
+4. **CLI-flag drift.**  In README.md, EXPERIMENTS.md and
+   docs/ARCHITECTURE.md, every ``repro-bench <subcommand> ... --flag`` in
+   code (a fenced line, an inline code span, or the later code spans of
+   the same table row) must name a subcommand and flags that
+   ``repro.bench.__main__.build_parser()`` defines; a bare
+   ``repro-bench --flag`` must be an option of some subcommand.
+   ROADMAP.md is left out: it names commands that are only planned.
 
 Usage::
 
@@ -50,6 +57,12 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
 ENV_NAME_RE = re.compile(r"REPRO_[A-Z0-9_]+")
 ENV_LITERAL_RE = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
+CLI = "repro-bench"
+CLI_FILES = ("README.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md")
+SUBCOMMAND_RE = re.compile(r"[a-z][a-z0-9-]*")
+FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+# tokens after which a shell line no longer belongs to the command
+SHELL_BREAKS = {"|", "||", "&&", ";", "#"}
 
 
 def iter_exec_blocks(text: str):
@@ -84,6 +97,74 @@ def check_env_names(readme_text: str) -> list:
     )
 
 
+def cli_options() -> dict:
+    """``repro-bench`` subcommand -> its option strings, from the parser."""
+    import argparse
+
+    from repro.bench.__main__ import build_parser
+
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: {opt for action in parser._actions
+               for opt in action.option_strings}
+        for name, parser in subparsers.choices.items()
+    }
+
+
+def code_spans(text: str):
+    """Yield ``(spans, is_table_row)``: the code on each line.
+
+    A fenced line is one span (backslash continuations joined); a prose
+    line gives its inline code spans.
+    """
+    fenced = False
+    pending = ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            pending = ""
+            continue
+        if fenced:
+            if line.endswith("\\"):
+                pending += line[:-1] + " "
+                continue
+            yield [pending + line], False
+            pending = ""
+        else:
+            yield line.split("`")[1::2], line.lstrip().startswith("|")
+
+
+def check_cli_flags(name: str, text: str, options: dict) -> list:
+    any_option = set().union(*options.values())
+    failures = []
+    for spans, is_table_row in code_spans(text):
+        sub = None  # the open command: a subcommand, "" when bare
+        for span in spans:
+            tokens = span.split()
+            # only a table row's later cells may list flags of its command
+            if not (is_table_row and tokens and tokens[0].startswith("--")):
+                sub = None
+            for i, token in enumerate(tokens):
+                if token in SHELL_BREAKS:
+                    sub = None
+                elif token == CLI:
+                    nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
+                    sub = nxt if SUBCOMMAND_RE.fullmatch(nxt) else ""
+                    if sub and sub not in options:
+                        failures.append(f"{name}: `{CLI} {sub}` is not a "
+                                        f"{CLI} subcommand")
+                        sub = None
+                elif sub is not None and (match := FLAG_RE.match(token)):
+                    flag = match.group(0)
+                    if flag not in (options[sub] if sub else any_option):
+                        where = (f"`{CLI} {sub}`" if sub
+                                 else f"any {CLI} subcommand")
+                        failures.append(f"{name}: {flag} is not an option "
+                                        f"of {where}")
+    return failures
+
+
 def run_snippet(source_name: str, code: str) -> list:
     namespace = {"__name__": "__main__"}
     start = time.perf_counter()
@@ -109,6 +190,8 @@ def main(argv=None) -> int:
         failures.extend(check_links(path, text))
         if name == "README.md":
             failures.extend(check_env_names(text))
+        if name in CLI_FILES:
+            failures.extend(check_cli_flags(name, text, cli_options()))
         for code in iter_exec_blocks(text):
             failures.extend(run_snippet(name, code))
     if failures:
