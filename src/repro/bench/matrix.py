@@ -174,6 +174,20 @@ class MatrixCell:
         }
 
 
+def _backend_label(xb) -> str:
+    """``name[:device][@dtype]`` of the backend that ran a cell.
+
+    The device is left off on the CPU and the dtype at float64, so a
+    default NumPy cell keeps the label ``numpy`` of older reports.
+    """
+    label = xb.name
+    if xb.device not in (None, "cpu"):
+        label += f":{xb.device}"
+    if xb.dtype_name != "float64":
+        label += f"@{xb.dtype_name}"
+    return label
+
+
 def _run_cell(
     data,
     spec_label: str,
@@ -190,6 +204,7 @@ def _run_cell(
     extractor = DFRFeatureExtractor(
         n_nodes, seed=seed, backend=backend
     ).fit(data.u_train)
+    label = _backend_label(extractor.backend)
     common = dict(seed=seed, backend=backend, executor_kind=executor)
     if search == "grid":
         level = GridSearch(extractor, **common).run_level(
@@ -229,7 +244,7 @@ def _run_cell(
         compute_seconds = outcome.compute_seconds
     if best is None:  # pragma: no cover - every candidate failed
         return MatrixCell(
-            spec=spec_label, backend=backend or "numpy", executor=executor,
+            spec=spec_label, backend=label, executor=executor,
             search=search, val_accuracy=0.0, test_accuracy=0.0,
             best_A=float("nan"), best_B=float("nan"),
             best_beta=float("nan"), diverged=True,
@@ -238,7 +253,7 @@ def _run_cell(
         )
     return MatrixCell(
         spec=spec_label,
-        backend=backend or "numpy",
+        backend=label,
         executor=executor,
         search=search,
         val_accuracy=float(best.val_accuracy),
@@ -288,17 +303,21 @@ def run_matrix(
             known = ", ".join(MATRIX_SEARCHES)
             raise ValueError(f"unknown search {search!r}; known: {known}")
     cells: List[MatrixCell] = []
+    # per requested backend, the label of the backend its cells ran on
+    labels: List[Optional[str]] = [None] * len(backends)
     for spec in specs:
         get_generator(spec.name)  # fail fast on an unknown generator
         data = dataset_from_spec(spec)
-        for backend in backends:
+        for i, backend in enumerate(backends):
             for executor in executors:
                 for search in searches:
-                    cells.append(_run_cell(
+                    cell = _run_cell(
                         data, spec.label(), backend, executor, search,
                         budget=budget, divisions=divisions,
                         n_nodes=n_nodes, epochs=epochs, seed=seed,
-                    ))
+                    )
+                    labels[i] = cell.backend
+                    cells.append(cell)
     return {
         "format": MATRIX_FORMAT,
         "format_version": MATRIX_FORMAT_VERSION,
@@ -308,7 +327,7 @@ def run_matrix(
         "n_nodes": int(n_nodes),
         "epochs": int(epochs),
         "specs": [spec.to_dict() for spec in specs],
-        "backends": [b or "numpy" for b in backends],
+        "backends": labels,
         "executors": list(executors),
         "searches": list(searches),
         "cells": [cell.to_dict() for cell in cells],

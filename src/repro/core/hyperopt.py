@@ -280,18 +280,8 @@ class DescentOutcome(SearchOutcome):
         return self.descent.members if self.descent is not None else []
 
     @property
-    def active_per_epoch(self) -> List[int]:
-        """Fused-stack width per epoch, summed over chunks (telemetry)."""
-        return (self.descent.active_per_epoch
-                if self.descent is not None else [])
-
-    @property
     def population(self) -> int:
         return self.descent.population if self.descent is not None else 0
-
-    @property
-    def n_retired(self) -> int:
-        return self.descent.n_retired if self.descent is not None else 0
 
 
 class PopulationDescent(CandidateSearch):
@@ -327,8 +317,6 @@ class PopulationDescent(CandidateSearch):
     population:
         Default restart count for :meth:`search`; ``None`` defers to
         ``REPRO_POPULATION`` (default 8).
-    retire_tol, retire_patience, retire_diverged_epochs:
-        Row-wise retirement knobs, forwarded to the trainer.
     """
 
     def __init__(
@@ -337,9 +325,6 @@ class PopulationDescent(CandidateSearch):
         *,
         trainer_config: Optional[TrainerConfig] = None,
         population: Optional[int] = None,
-        retire_tol: Optional[float] = None,
-        retire_patience: int = 2,
-        retire_diverged_epochs: Optional[int] = None,
         **kwargs,
     ):
         super().__init__(extractor, **kwargs)
@@ -349,9 +334,6 @@ class PopulationDescent(CandidateSearch):
             trainer_config = replace(trainer_config, backend=self.backend)
         self.trainer_config = trainer_config
         self.population = population
-        self.retire_tol = retire_tol
-        self.retire_patience = retire_patience
-        self.retire_diverged_epochs = retire_diverged_epochs
 
     def descend(self, u_train, y_train, *, population: Optional[int] = None,
                 n_classes: Optional[int] = None) -> PopulationResult:
@@ -384,9 +366,6 @@ class PopulationDescent(CandidateSearch):
             config=self.trainer_config,
             shuffle_seed=shuffle_seed,
             block_size=resolve_candidate_block_size(self.candidate_block_size),
-            retire_tol=self.retire_tol,
-            retire_patience=self.retire_patience,
-            retire_diverged_epochs=self.retire_diverged_epochs,
         )
 
     def search(

@@ -23,11 +23,10 @@ and so on.  The optimizers support this natively:
 * ``step(..., mask=row_mask)`` (a boolean ``(K,)`` mask) updates only the
   flagged rows — rows outside the mask keep their parameters *and* their
   optimizer state untouched, exactly as if their member had skipped that
-  minibatch;
-* ``take_rows(rows)`` re-indexes the internal state along the candidate
-  axis when retired members are compacted out of the stack;
-* learning rates may be per-candidate ``(K,)`` vectors; they broadcast
-  against the parameter tails.
+  minibatch.
+
+Learning rates stay scalars: every member of a population is at the same
+epoch, so one rate per parameter group serves the whole stack.
 
 Every stacked update is element-wise along the candidate axis, so row ``k``
 of a stacked optimizer is bit-identical to an independent scalar-mode
@@ -63,11 +62,8 @@ class ConstantSchedule:
             raise ValueError(f"lr must be positive, got {lr}")
         self.lr = float(lr)
 
-    def lr_at(self, epoch):
-        """Learning rate during 1-indexed ``epoch`` (scalar or array)."""
-        epoch = np.asarray(epoch)
-        if epoch.ndim:
-            return np.full(epoch.shape, self.lr)
+    def lr_at(self, epoch: int) -> float:
+        """Learning rate during 1-indexed ``epoch``."""
         return self.lr
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -96,21 +92,8 @@ class StepSchedule:
         self.milestones = milestones
         self.gamma = float(gamma)
 
-    def lr_at(self, epoch):
-        """Learning rate during 1-indexed ``epoch``.
-
-        ``epoch`` may also be an integer array of per-candidate schedule
-        positions (stacked population training); the result is then the
-        matching array of learning rates, each entry computed with exactly
-        the scalar arithmetic, so a stacked schedule lookup is bit-identical
-        to per-candidate scalar lookups.
-        """
-        epoch_arr = np.asarray(epoch)
-        if epoch_arr.ndim:
-            if np.any(epoch_arr < 1):
-                raise ValueError(f"epochs are 1-indexed, got {epoch_arr}")
-            return np.array([self.lr_at(int(e)) for e in epoch_arr.ravel()]
-                            ).reshape(epoch_arr.shape)
+    def lr_at(self, epoch: int) -> float:
+        """Learning rate during 1-indexed ``epoch``."""
         if epoch < 1:
             raise ValueError(f"epoch is 1-indexed, got {epoch}")
         n_decays = sum(1 for m in self.milestones if epoch >= m)
@@ -188,12 +171,13 @@ def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float,
     return total
 
 
-def _rowwise(lr, ndim: int):
-    """Reshape a per-candidate ``(K,)`` learning rate to broadcast over a
-    ``(K, ...)`` parameter tail; scalars pass through untouched."""
-    arr = np.asarray(lr)
+def _rowwise(values, ndim: int):
+    """Reshape a per-candidate ``(K,)`` vector (Adam's per-row bias
+    corrections) to broadcast over a ``(K, ...)`` parameter tail; scalars
+    pass through untouched."""
+    arr = np.asarray(values)
     if arr.ndim == 0:
-        return lr
+        return values
     return arr.reshape(arr.shape + (1,) * (ndim - arr.ndim))
 
 
@@ -233,7 +217,7 @@ class SGD:
         """
         mask = _check_mask(mask, self._stacked)
         for name, p in params.items():
-            lr = _rowwise(lrs[name], p.ndim)
+            lr = lrs[name]
             if mask is None:
                 p -= lr * grads[name]
             else:
@@ -243,9 +227,6 @@ class SGD:
     def reset(self, n_rows: Optional[int] = None) -> None:
         """No internal state; ``n_rows`` only arms stacked-mode masking."""
         self._stacked = n_rows is not None
-
-    def take_rows(self, rows: np.ndarray) -> None:
-        """No internal state to re-index."""
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return "SGD()"
@@ -267,8 +248,7 @@ class MomentumSGD:
             v = self._velocity.get(name)
             if v is None:
                 v = np.zeros_like(p)
-            lr = _rowwise(lrs[name], p.ndim)
-            v_new = self.momentum * v - lr * grads[name]
+            v_new = self.momentum * v - lrs[name] * grads[name]
             if mask is None:
                 self._velocity[name] = v_new
                 p += v_new
@@ -281,11 +261,6 @@ class MomentumSGD:
         self._velocity.clear()
         self._stacked = n_rows is not None
 
-    def take_rows(self, rows: np.ndarray) -> None:
-        """Compact the per-candidate velocities to the kept ``rows``."""
-        for name in self._velocity:
-            self._velocity[name] = self._velocity[name][rows]
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"MomentumSGD(momentum={self.momentum})"
 
@@ -295,8 +270,8 @@ class Adam:
 
     ``reset(n_rows=K)`` switches to stacked mode: the step count ``t`` (and
     with it the bias correction) is tracked *per candidate row*, so a row
-    that skips a minibatch (mask) or joins the stack late stays bit-identical
-    to an independent scalar-mode Adam driving that candidate alone.
+    that skips a minibatch (mask) stays bit-identical to an independent
+    scalar-mode Adam driving that candidate alone.
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -338,7 +313,7 @@ class Adam:
             v_new = self.beta2 * v + (1 - self.beta2) * g**2
             m_hat = m_new / _rowwise(corr1, p.ndim)
             v_hat = v_new / _rowwise(corr2, p.ndim)
-            upd = _rowwise(lrs[name], p.ndim) * m_hat / (np.sqrt(v_hat) + self.eps)
+            upd = lrs[name] * m_hat / (np.sqrt(v_hat) + self.eps)
             if mask is None:
                 self._m[name] = m_new
                 self._v[name] = v_new
@@ -356,14 +331,6 @@ class Adam:
         self._m.clear()
         self._v.clear()
         self._t = 0 if n_rows is None else np.zeros(int(n_rows), dtype=np.int64)
-
-    def take_rows(self, rows: np.ndarray) -> None:
-        """Compact the per-candidate moments and step counts to ``rows``."""
-        for state in (self._m, self._v):
-            for name in state:
-                state[name] = state[name][rows]
-        if isinstance(self._t, np.ndarray):
-            self._t = self._t[rows]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Adam(beta1={self.beta1}, beta2={self.beta2}, eps={self.eps})"

@@ -105,7 +105,9 @@ class DFRFeatureExtractor:
         #: suffix choosing the working precision; None defers to the
         #: REPRO_BACKEND environment variable (NumPy when unset).  The
         #: spec string (not the resolved object) is what snapshots carry.
-        self.set_backend(backend)
+        self.backend_spec = backend
+        self.backend = (default_backend() if backend is None
+                        else resolve_backend(backend))
         self._rng = ensure_rng(seed)
         self.standardizer = ChannelStandardizer()
         self.reservoir: Optional[ModularDFR] = None
@@ -114,20 +116,6 @@ class DFRFeatureExtractor:
     def n_features(self) -> int:
         """DPRR width ``N_x (N_x + 1)``."""
         return self.dprr.n_features(self.n_nodes)
-
-    def set_backend(self, backend: Optional[str]) -> None:
-        """(Re)bind the array backend executing the feature sweeps.
-
-        ``backend`` is a spec string (``"numpy"``, ``"torch:cuda:0"``,
-        ``"numpy@float32"``, ...) or ``None`` for the ``REPRO_BACKEND``
-        environment default; the resolved
-        :class:`~repro.backend.ArrayBackend` is cached on the extractor.
-        Used by the execution layer to re-target a rebuilt extractor
-        inside a :class:`~repro.exec.BackendExecutor`.
-        """
-        self.backend_spec = backend
-        self.backend = (default_backend() if backend is None
-                        else resolve_backend(backend))
 
     def fit(self, u_train: np.ndarray) -> "DFRFeatureExtractor":
         """Fit the standardizer and draw the mask from the training inputs."""

@@ -30,12 +30,9 @@ Numerical contract (pinned by ``tests/test_population.py``):
   epoch, which is what lets the forward/backward fuse, and is the usual
   variance-reduction choice when comparing restarts.
 
-Row-wise retirement: members whose ``(A, B)`` stopped moving (or that
-diverge on every sample, epoch after epoch) can drop out of the active
-stack, so the fused sweep *shrinks* as the population settles.  Retirement
-is off by default (keeping the bit-parity contract above unconditional);
-the rule is a pure function of a member's own trajectory, so a fused run
-with retirement matches per-member runs applying the same rule.
+Every member trains for the full ``epochs`` budget on a stack whose
+width never changes, so all members share one epoch and one learning rate
+per parameter group at every step.
 
 ``REPRO_POPULATION`` resolves the population size for entry points that do
 not receive an explicit one (``DFRClassifier(search="descent")``,
@@ -145,9 +142,6 @@ def chunked_population_fit(
     config: Optional[TrainerConfig] = None,
     shuffle_seed: int,
     block_size: int,
-    retire_tol: Optional[float] = None,
-    retire_patience: int = 2,
-    retire_diverged_epochs: Optional[int] = None,
 ) -> "PopulationResult":
     """Train ONE logical population in fused chunks of ``block_size``.
 
@@ -163,20 +157,17 @@ def chunked_population_fit(
     wider chunk.
 
     Returns the merged :class:`PopulationResult`; members keep their
-    population-wide indices, and chunk widths sum in ``active_per_epoch``.
+    population-wide indices.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     k = len(a0)
     members: List[MemberResult] = []
-    active_per_epoch: List[int] = []
     elapsed = 0.0
     for lo in range(0, k, block_size):
         hi = min(lo + block_size, k)
         trainer = PopulationTrainer(
             reservoir, n_classes, dprr=dprr, config=config,
-            retire_tol=retire_tol, retire_patience=retire_patience,
-            retire_diverged_epochs=retire_diverged_epochs,
             delegate_single=(k == 1),
             seed=shuffle_seed,
         )
@@ -184,17 +175,8 @@ def chunked_population_fit(
         for offset, member in enumerate(chunk.members):
             member.index = lo + offset
             members.append(member)
-        for epoch, width in enumerate(chunk.active_per_epoch):
-            if epoch < len(active_per_epoch):
-                active_per_epoch[epoch] += width
-            else:
-                active_per_epoch.append(width)
         elapsed += chunk.elapsed_seconds
-    return PopulationResult(
-        members=members,
-        active_per_epoch=active_per_epoch,
-        elapsed_seconds=elapsed,
-    )
+    return PopulationResult(members=members, elapsed_seconds=elapsed)
 
 
 @dataclass
@@ -205,10 +187,6 @@ class MemberResult:
     init_A: float
     init_B: float
     result: TrainingResult
-    #: last epoch this member trained (None: ran the full epoch budget)
-    retired_epoch: Optional[int] = None
-    #: why it left the stack early ("converged" or "diverged")
-    retired_reason: Optional[str] = None
 
 
 @dataclass
@@ -216,18 +194,11 @@ class PopulationResult:
     """Outcome of one fused population-descent run."""
 
     members: List[MemberResult] = field(default_factory=list)
-    #: width of the fused stack at each epoch (telemetry: shows the sweep
-    #: shrinking as members retire)
-    active_per_epoch: List[int] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     @property
     def population(self) -> int:
         return len(self.members)
-
-    @property
-    def n_retired(self) -> int:
-        return sum(1 for m in self.members if m.retired_epoch is not None)
 
     def results(self) -> List[TrainingResult]:
         """Per-member :class:`~repro.core.trainer.TrainingResult`, in order."""
@@ -249,18 +220,6 @@ class PopulationTrainer:
         As for :class:`~repro.core.trainer.BackpropTrainer`.  ``seed``
         drives the *shared* shuffle stream (all members see the same sample
         order; see the module docstring).
-    retire_tol:
-        Convergence retirement: a member whose ``(A, B)`` moved at most
-        this much (L-inf, over a whole epoch) for ``retire_patience``
-        consecutive epochs leaves the active stack.  ``None`` (default)
-        disables convergence retirement.
-    retire_patience:
-        Consecutive quiet epochs required before a member retires.
-    retire_diverged_epochs:
-        Divergence retirement: a member whose *every* sample diverged for
-        this many consecutive epochs (it is being pulled back each time and
-        still cannot complete a step) retires instead of burning fused
-        compute forever.  ``None`` (default) disables it.
     delegate_single:
         Whether a population of one at ``batch_size=1`` delegates to the
         per-sample :class:`~repro.core.trainer.BackpropTrainer` reference
@@ -279,30 +238,13 @@ class PopulationTrainer:
         *,
         dprr: Optional[DPRR] = None,
         config: Optional[TrainerConfig] = None,
-        retire_tol: Optional[float] = None,
-        retire_patience: int = 2,
-        retire_diverged_epochs: Optional[int] = None,
         delegate_single: bool = True,
         seed: SeedLike = None,
     ):
-        if retire_tol is not None and retire_tol < 0:
-            raise ValueError(f"retire_tol must be >= 0, got {retire_tol}")
-        if retire_patience < 1:
-            raise ValueError(
-                f"retire_patience must be >= 1, got {retire_patience}"
-            )
-        if retire_diverged_epochs is not None and retire_diverged_epochs < 1:
-            raise ValueError(
-                f"retire_diverged_epochs must be None or >= 1, "
-                f"got {retire_diverged_epochs}"
-            )
         self.reservoir = reservoir
         self.n_classes = int(n_classes)
         self.dprr = dprr if dprr is not None else DPRR()
         self.config = config if config is not None else TrainerConfig()
-        self.retire_tol = retire_tol
-        self.retire_patience = int(retire_patience)
-        self.retire_diverged_epochs = retire_diverged_epochs
         self.delegate_single = bool(delegate_single)
         self.rng = ensure_rng(seed)
         self.engine = BackpropEngine(
@@ -336,12 +278,11 @@ class PopulationTrainer:
         Per-candidate clip norms, one stacked optimizer step (rows outside
         ``mask`` — members whose whole minibatch diverged — are untouched,
         as if the member skipped the step), then the parameter box clamp.
-        ``lr_r``/``lr_o`` are per-candidate ``(K,)`` learning rate vectors
-        from the vectorized schedule lookup; the optimizers broadcast them
-        over each parameter's row tail.  Row ``k`` is bit-identical to the
-        scalar ``_apply_update`` on that member's gradients, which the
-        minibatch goldens in ``tests/test_batched_training.py`` (recorded
-        from a scalar minibatch loop) hold.
+        ``lr_r``/``lr_o`` are the epoch's scalar learning rates, shared by
+        every member.  Row ``k`` is bit-identical to the scalar
+        ``_apply_update`` on that member's gradients, which the minibatch
+        goldens in ``tests/test_batched_training.py`` (recorded from a
+        scalar minibatch loop) hold.
         """
         cfg = self.config
         clip_gradients(grads, cfg.grad_clip, stacked=True)
@@ -359,12 +300,12 @@ class PopulationTrainer:
 
     def _fused_epoch(self, u, y, targets, order, params, readout_geom,
                      optimizer, backward_window, t_len, lr_r, lr_o):
-        """One epoch of minibatch SGD for the whole active stack.
+        """One epoch of minibatch SGD for the whole stack.
 
         The one minibatch SGD loop (``batch_size > 1``, any population
         size): every minibatch shares one ``(A, B)`` snapshot per member
         and runs ONE vector-``(A, B)`` forward and one candidate-stacked
-        backward for all active members; gradients are averaged over each
+        backward for all members; gradients are averaged over each
         member's non-diverged rows.  Members with diverged samples in the
         minibatch leave the fused call: each diverged row pulls the
         member's ``(A, B)`` back once, and its valid rows train as a
@@ -374,11 +315,11 @@ class PopulationTrainer:
         """
         cfg = self.config
         xb = self.backend
-        k_active = params["A"].shape[0]
+        k_members = params["A"].shape[0]
         batch_size = cfg.batch_size
-        losses: List[List[float]] = [[] for _ in range(k_active)]
-        n_correct = np.zeros(k_active, dtype=np.int64)
-        n_skipped = np.zeros(k_active, dtype=np.int64)
+        losses: List[List[float]] = [[] for _ in range(k_members)]
+        n_correct = np.zeros(k_members, dtype=np.int64)
+        n_skipped = np.zeros(k_members, dtype=np.int64)
         for start in range(0, order.shape[0], batch_size):
             sel = order[start: start + batch_size]
             a_snap = params["A"].copy()
@@ -417,12 +358,12 @@ class PopulationTrainer:
                                            lr_o, mask=None)
                 continue
             grads = {
-                "A": np.zeros(k_active),
-                "B": np.zeros(k_active),
+                "A": np.zeros(k_members),
+                "B": np.zeros(k_members),
                 "W": np.zeros_like(params["W"]),
                 "b": np.zeros_like(params["b"]),
             }
-            step_mask = np.ones(k_active, dtype=bool)
+            step_mask = np.ones(k_members, dtype=bool)
             clean = np.flatnonzero(n_div == 0)
             if clean.size:
                 out = self.engine.batch_gradients(
@@ -491,7 +432,6 @@ class PopulationTrainer:
         Runs :class:`~repro.core.trainer.BackpropTrainer` outright (same
         rng object, same config with the member's initialization), so the
         per-sample SGD trajectory is the pinned seed protocol bit for bit.
-        Retirement does not apply to the delegated reference run.
         """
         trainer = BackpropTrainer(
             self.reservoir, self.n_classes, dprr=self.dprr,
@@ -502,7 +442,6 @@ class PopulationTrainer:
         return PopulationResult(
             members=[MemberResult(index=0, init_A=float(a0),
                                   init_B=float(b0), result=result)],
-            active_per_epoch=[1] * len(result.history),
             elapsed_seconds=time.perf_counter() - start,
         )
 
@@ -576,121 +515,48 @@ class PopulationTrainer:
         window = self.engine.effective_window(t_len)
         backward_window = t_len if cfg.window is None else window
 
-        alive = np.arange(k_total)                  # original member indices
         histories: List[List[EpochStats]] = [[] for _ in range(k_total)]
-        final_params: List[Optional[tuple]] = [None] * k_total
-        retired_epoch: List[Optional[int]] = [None] * k_total
-        retired_reason: List[Optional[str]] = [None] * k_total
-        conv_streak = np.zeros(k_total, dtype=np.int64)
-        div_streak = np.zeros(k_total, dtype=np.int64)
-        #: per-member schedule positions — all members join at epoch 1
-        #: today, so the rows stay equal, but the learning rates flow
-        #: through the vectorized schedule lookup as genuine per-candidate
-        #: state (rows joining mid-run, e.g. re-seeded members, would
-        #: simply carry later positions)
-        positions = np.zeros(k_total, dtype=np.int64)
-        active_per_epoch: List[int] = []
-
         for epoch in range(1, cfg.epochs + 1):
-            if alive.size == 0:
-                break
-            active_per_epoch.append(int(alive.size))
-            positions[alive] += 1
-            lr_r = res_schedule.lr_at(positions[alive])    # (K_active,)
-            lr_o = out_schedule.lr_at(positions[alive])
+            lr_r = res_schedule.lr_at(epoch)
+            lr_o = out_schedule.lr_at(epoch)
             order = (self.rng.permutation(n_samples) if cfg.shuffle
                      else np.arange(n_samples))
-            a_before = params["A"].copy()
-            b_before = params["B"].copy()
             losses, n_correct, n_skipped = self._fused_epoch(
                 u, y, targets, order, params, readout_geom, optimizer,
                 backward_window, t_len, lr_r, lr_o,
             )
-            n_seen = np.array([len(rows) for rows in losses])
-            for pos, member in enumerate(alive):
-                histories[member].append(EpochStats(
+            for k, history in enumerate(histories):
+                n_seen = len(losses[k])
+                history.append(EpochStats(
                     epoch=epoch,
-                    mean_loss=(float(np.mean(losses[pos])) if n_seen[pos]
+                    mean_loss=(float(np.mean(losses[k])) if n_seen
                                else float("inf")),
-                    accuracy=(float(n_correct[pos] / n_seen[pos])
-                              if n_seen[pos] else 0.0),
-                    lr_reservoir=float(lr_r[pos]),
-                    lr_output=float(lr_o[pos]),
-                    A=float(params["A"][pos]),
-                    B=float(params["B"][pos]),
-                    n_skipped=int(n_skipped[pos]),
+                    accuracy=(float(n_correct[k] / n_seen)
+                              if n_seen else 0.0),
+                    lr_reservoir=lr_r,
+                    lr_output=lr_o,
+                    A=float(params["A"][k]),
+                    B=float(params["B"][k]),
+                    n_skipped=int(n_skipped[k]),
                 ))
-
-            # --- row-wise retirement ---------------------------------- #
-            retire_now = np.zeros(alive.size, dtype=bool)
-            reasons = [None] * alive.size
-            if self.retire_tol is not None:
-                delta = np.maximum(np.abs(params["A"] - a_before),
-                                   np.abs(params["B"] - b_before))
-                quiet = delta <= self.retire_tol
-                conv_streak[alive[quiet]] += 1
-                conv_streak[alive[~quiet]] = 0
-                for pos, member in enumerate(alive):
-                    if conv_streak[member] >= self.retire_patience:
-                        retire_now[pos] = True
-                        reasons[pos] = "converged"
-            if self.retire_diverged_epochs is not None:
-                hopeless = n_seen == 0
-                div_streak[alive[hopeless]] += 1
-                div_streak[alive[~hopeless]] = 0
-                for pos, member in enumerate(alive):
-                    if (not retire_now[pos]
-                            and div_streak[member] >= self.retire_diverged_epochs):
-                        retire_now[pos] = True
-                        reasons[pos] = "diverged"
-            if epoch == cfg.epochs:
-                # the budget is exhausted: everyone still standing finishes
-                # normally, whatever the streak counters say
-                retire_now[:] = False
-            if retire_now.any():
-                for pos in np.flatnonzero(retire_now):
-                    member = int(alive[pos])
-                    final_params[member] = (
-                        float(params["A"][pos]), float(params["B"][pos]),
-                        params["W"][pos].copy(), params["b"][pos].copy(),
-                    )
-                    retired_epoch[member] = epoch
-                    retired_reason[member] = reasons[pos]
-                keep = np.flatnonzero(~retire_now)
-                for name in params:
-                    params[name] = np.ascontiguousarray(params[name][keep])
-                optimizer.take_rows(keep)
-                alive = alive[keep]
-
-        for pos, member in enumerate(alive):
-            final_params[member] = (
-                float(params["A"][pos]), float(params["B"][pos]),
-                params["W"][pos].copy(), params["b"][pos].copy(),
-            )
 
         elapsed = time.perf_counter() - start
         members = []
-        for member in range(k_total):
-            a_fin, b_fin, w_fin, bias_fin = final_params[member]
+        for k in range(k_total):
             readout = SoftmaxReadout(n_feats, self.n_classes)
-            readout.weights = w_fin
-            readout.bias = bias_fin
+            readout.weights = params["W"][k].copy()
+            readout.bias = params["b"][k].copy()
             members.append(MemberResult(
-                index=member,
-                init_A=float(a0[member]),
-                init_B=float(b0[member]),
+                index=k,
+                init_A=float(a0[k]),
+                init_B=float(b0[k]),
                 result=TrainingResult(
-                    A=a_fin, B=b_fin, readout=readout,
-                    history=histories[member], elapsed_seconds=elapsed,
+                    A=float(params["A"][k]), B=float(params["B"][k]),
+                    readout=readout, history=histories[k],
+                    elapsed_seconds=elapsed,
                 ),
-                retired_epoch=retired_epoch[member],
-                retired_reason=retired_reason[member],
             ))
-        return PopulationResult(
-            members=members,
-            active_per_epoch=active_per_epoch,
-            elapsed_seconds=elapsed,
-        )
+        return PopulationResult(members=members, elapsed_seconds=elapsed)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -192,9 +192,12 @@ class EvaluationContext:
 
     def _get_extractor(self) -> DFRFeatureExtractor:
         if self._built is None:
-            self._built = self.extractor.build()
+            config = self.extractor
             if self.backend is not None:
-                self._built.set_backend(self.backend)
+                # the override replaces the snapshot's spec before anything
+                # resolves it, so a spec this host cannot run is never tried
+                config = replace(config, backend=self.backend)
+            self._built = config.build()
         return self._built
 
     def candidate_seed(self, candidate: Candidate) -> Optional[int]:

@@ -312,11 +312,15 @@ class BackendExecutor(SerialExecutor):
     def __init__(self, backend: Optional[str] = None):
         from repro.backend import BACKEND_ENV_VAR, resolve_backend
 
-        backend = env_knob(backend, BACKEND_ENV_VAR, str, None)
+        def resolvable(spec: str) -> str:
+            resolve_backend(spec)
+            return spec
+
         #: spec applied to submitted contexts; None means no override
-        self.backend_spec = backend
+        self.backend_spec = env_knob(backend, BACKEND_ENV_VAR, str, None,
+                                     resolvable)
         #: resolved backend (eager, so a missing library fails here)
-        self.backend = resolve_backend(backend)
+        self.backend = resolve_backend(self.backend_spec)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"BackendExecutor(backend={self.backend.name!r})"

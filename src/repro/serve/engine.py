@@ -77,7 +77,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -228,10 +228,9 @@ class _Deployment:
         self.model = model
         # rebuild under the *engine's* backend spec (precision suffix
         # included), not the snapshot's preference — one engine, one
-        # numerics contract
+        # numerics contract; the snapshot's spec is never resolved
         cfg = model.config
-        self.extractor = cfg.build()
-        self.extractor.set_backend(backend_spec)
+        self.extractor = replace(cfg, backend=backend_spec).build()
         self.fingerprint = model.fingerprint()
         self.n_channels = int(np.asarray(cfg.mask_matrix).shape[1])
         self._readout_native = None

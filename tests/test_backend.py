@@ -18,6 +18,9 @@ Three layers of guarantees:
   that the skip is the *loud* error, not a quiet downgrade).
 """
 
+import importlib.util
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,11 +40,13 @@ from repro.core.pipeline import DFRFeatureExtractor
 from repro.core.trainer import BackpropTrainer, TrainerConfig
 from repro.data.loaders import make_toy_dataset
 from repro.exec import BackendExecutor, Candidate, EvaluationContext, SerialExecutor
+from repro.readout.ridge import fit_ridge
 from repro.readout.softmax import SoftmaxReadout, one_hot
 from repro.representation.dprr import DPRR
 from repro.reservoir.masking import InputMask
 from repro.reservoir.modular import ModularDFR
 from repro.reservoir.nonlinearity import NONLINEARITIES, Nonlinearity
+from repro.serve import ServableModel, ServeEngine
 
 NON_NUMPY = [n for n in BACKEND_NAMES if n != "numpy"]
 AVAILABLE_NON_NUMPY = [n for n in available_backends() if n != "numpy"]
@@ -276,6 +281,57 @@ class TestNumpyBitIdentity:
             pytest.skip("all registry backends installed on this host")
         with pytest.raises(BackendUnavailableError):
             BackendExecutor(missing[0])
+
+
+class TestOverrideReplacesSnapshotSpec:
+    """An engine's or executor's spec wins before the snapshot's resolves.
+
+    A snapshot saved on a CuPy host names ``backend="cupy"``; rebuilt
+    under a ``"numpy"`` override on a host without CuPy, it must score
+    exactly like the same snapshot saved with ``backend="numpy"``.
+    """
+
+    @pytest.fixture
+    def snapshots(self):
+        if importlib.util.find_spec("cupy") is not None:
+            pytest.skip("CuPy imports on this host, so a cupy spec resolves")
+        data = make_toy_dataset(n_classes=2, n_channels=2, length=15,
+                                n_train=16, n_test=8, noise=0.3, seed=2)
+        ext = DFRFeatureExtractor(n_nodes=4, seed=0).fit(data.u_train)
+        numpy_cfg = replace(ext.snapshot(), backend="numpy")
+        return data, numpy_cfg, replace(numpy_cfg, backend="cupy")
+
+    def test_serve_engine_deploys_a_cupy_snapshot_on_numpy(self, snapshots):
+        data, numpy_cfg, cupy_cfg = snapshots
+        feats, _ = numpy_cfg.build().features(data.u_train, 0.3, 0.2)
+        ridge = fit_ridge(feats, data.y_train, 1e-2)
+        results = []
+        for cfg in (numpy_cfg, cupy_cfg):
+            engine = ServeEngine(backend="numpy")
+            engine.deploy(ServableModel(name="m", A=0.3, B=0.2, config=cfg,
+                                        readout=ridge))
+            sid = engine.open_session("m")
+            engine.submit(sid, data.u_test[0])
+            engine.drain()
+            [result] = engine.pop_results()
+            results.append(result)
+        assert np.array_equal(results[0].features, results[1].features)
+        assert np.array_equal(results[0].scores, results[1].scores)
+
+    def test_context_override_scores_a_cupy_snapshot(self, snapshots):
+        data, numpy_cfg, cupy_cfg = snapshots
+        candidates = [Candidate(index=i, A=a, B=b, seed=7)
+                      for i, (a, b) in enumerate([(0.1, 0.1), (0.3, 0.2)])]
+        evaluations = []
+        for cfg in (numpy_cfg, cupy_cfg):
+            context = EvaluationContext.from_data(
+                cfg, data.u_train, data.y_train, data.u_test, data.y_test,
+                base_seed=0,
+            )
+            evaluations.append(BackendExecutor("numpy").run(
+                context, candidates).evaluations())
+        assert all(ev.error is None for ev in evaluations[1])
+        assert evaluations[1] == evaluations[0]
 
 
 # --------------------------------------------------------------------- #

@@ -104,6 +104,19 @@ class TestReportedPrecision:
         assert result["backend"] == "numpy:cpu"
         assert result["dtype"] == "float32"
 
+    def test_matrix_cells(self, float32_spec):
+        report = run_matrix(TestMatrixHarness.SPECS[:1],
+                            backends=(float32_spec,), budget=1, n_nodes=4)
+        assert report["backends"] == ["numpy@float32"]
+        assert [c["backend"] for c in report["cells"]] == ["numpy@float32"]
+
+    def test_matrix_default_label_is_numpy(self, monkeypatch):
+        # older matrix histories key their cells on this label
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        report = run_matrix(TestMatrixHarness.SPECS[:1], budget=1, n_nodes=4)
+        assert report["backends"] == ["numpy"]
+        assert [c["backend"] for c in report["cells"]] == ["numpy"]
+
 
 class TestFig6Result:
     def test_missed_optimum_logic(self):

@@ -1,4 +1,4 @@
-"""Unit tests for ``tools/check_docs.py``'s CLI-flag drift check.
+"""Unit tests for ``tools/check_docs.py``'s CLI-flag and keyword drift checks.
 
 The tool lives outside the installed package, so it is loaded straight
 from its file.
@@ -17,6 +17,9 @@ Run `repro-bench table1 --datasets LIB --backend numpy@float32` or
 another tool.
 
 | `repro-bench fig6` | Fig. 6 | `--divisions`, `--workers` |
+
+A span may wrap: `repro-bench fig6
+--size-profile bench`.
 
 ```bash
 repro-bench serve --streams 4 \\
@@ -50,9 +53,50 @@ def test_parser_flags_pass(check_docs):
     ("`--divisions`", "`--window`"),
     ("  --chunk-len 16", "  --chunk-size 16"),
     ("repro-bench serve --streams", "repro-bench serv --streams"),
+    ("--size-profile bench", "--size bench"),
 ], ids=["subcommand-flag", "bare-flag", "table-row", "continued-line",
-        "subcommand"])
+        "subcommand", "wrapped-span"])
 def test_drift_is_reported(check_docs, old, new):
     assert old in DOC
     failures = check(check_docs, DOC.replace(old, new, 1))
+    assert len(failures) == 1 and failures[0].startswith("DOC.md: ")
+
+
+KEYWORD_DOC = """\
+Fit with `DFRClassifier(search="descent", population=8,
+batch_size=16)`, or descend alone with `PopulationDescent(ext,
+trainer_config=cfg, seed=4)`, whose `seed` its search base takes.
+`SimulatedAnnealing.search(u, y, u_t, y_t, speculative=4)` and
+`TrainerConfig(backend="numpy@float32")` check too; `np.zeros(shape=3)`,
+`run(depth=2)` and `DFRClassifier(seed == 0)` are not calls to check.
+
+```python
+engine = ServeEngine(max_batch=32, deadline_ms=10.0)
+```
+"""
+
+
+def check_keywords(check_docs, text):
+    return check_docs.check_keywords("DOC.md", text,
+                                     check_docs.exported_names())
+
+
+def test_accepted_keywords_pass(check_docs):
+    failures, n_calls = check_keywords(check_docs, KEYWORD_DOC)
+    assert failures == []
+    assert n_calls == 5
+
+
+@pytest.mark.parametrize("old, new", [
+    ("batch_size=16", "batch_sise=16"),
+    ("seed=4", "sede=4"),
+    ("speculative=4", "speculate=4"),
+    ("SimulatedAnnealing.search", "SimulatedAnnealing.serch"),
+    ("deadline_ms=10.0", "deadline=10.0"),
+], ids=["wrapped-span", "mro-kwargs", "method", "missing-method",
+        "fenced-line"])
+def test_keyword_drift_is_reported(check_docs, old, new):
+    assert old in KEYWORD_DOC
+    failures, _ = check_keywords(check_docs,
+                                 KEYWORD_DOC.replace(old, new, 1))
     assert len(failures) == 1 and failures[0].startswith("DOC.md: ")

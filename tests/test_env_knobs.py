@@ -31,6 +31,7 @@ from repro.exec import (
     RETRY_BACKOFF_ENV_VAR,
     TASK_TIMEOUT_ENV_VAR,
     WORKERS_ENV_VAR,
+    BackendExecutor,
     MultiprocessExecutor,
     resolve_candidate_block_size,
     resolve_executor_kind,
@@ -138,6 +139,14 @@ STRICT = [
     (resolve_filter_impl, FILTER_IMPL_ENV_VAR),
     (scan_crossover, SCAN_CROSSOVER_ENV_VAR),
     (default_backend, BACKEND_ENV_VAR),
+    (BackendExecutor, BACKEND_ENV_VAR),
+]
+# a row's id is its variable; a later resolver of the same variable adds
+# its own name, so the ids stay unique and the first row's never moves
+STRICT_IDS = [
+    env_var if all(row[1] != env_var for row in STRICT[:i])
+    else f"{env_var}-{resolve.__name__}"
+    for i, (resolve, env_var) in enumerate(STRICT)
 ]
 
 
@@ -150,8 +159,7 @@ def test_lenient_knobs_fall_back(monkeypatch, resolve, env_var, default, raw):
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1"])
-@pytest.mark.parametrize("resolve, env_var", STRICT,
-                         ids=[row[1] for row in STRICT])
+@pytest.mark.parametrize("resolve, env_var", STRICT, ids=STRICT_IDS)
 def test_strict_knobs_name_the_variable(monkeypatch, resolve, env_var, raw):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setenv(env_var, raw)

@@ -48,20 +48,6 @@ class TestSchedules:
         with pytest.raises(ValueError):
             StepSchedule(1.0, (5,)).lr_at(0)
 
-    def test_vectorized_epochs_match_scalar_lookups(self):
-        """Per-candidate schedule positions: array lr_at == scalar lr_at."""
-        sched = paper_reservoir_schedule()
-        epochs = np.array([1, 4, 5, 10, 19, 25])
-        lrs = sched.lr_at(epochs)
-        assert lrs.shape == epochs.shape
-        for e, lr in zip(epochs, lrs):
-            assert lr == sched.lr_at(int(e))  # bitwise, not approx
-        with pytest.raises(ValueError):
-            sched.lr_at(np.array([1, 0]))
-        const = ConstantSchedule(0.5)
-        np.testing.assert_array_equal(const.lr_at(epochs),
-                                      np.full(epochs.shape, 0.5))
-
 
 class TestClipGradients:
     def test_no_clip_below_threshold(self):
@@ -194,8 +180,8 @@ class TestStackedOptimizers:
 
     This is the invariant the population trainer rests on: row ``k`` of a
     stacked optimizer must be bit-identical to an independent instance
-    driving that candidate alone — through masked steps (a member skipping
-    a minibatch) and through ``take_rows`` compaction (retirement).
+    driving that candidate alone, through masked steps (a member skipping
+    a minibatch) too.
     """
 
     K = 3
@@ -225,15 +211,13 @@ class TestStackedOptimizers:
         solos = [make_opt() for _ in range(self.K)]
         for opt in solos:
             opt.reset()
-        # per-candidate learning rates exercise the row broadcast
-        lr_vec = np.array([1.0, 0.5, 0.1])
+        lrs = {"A": 0.5, "W": 0.15}
         for grads in self._grad_stream(2, 8):
-            stacked.step(stacked_params, grads,
-                         {"A": lr_vec, "W": lr_vec * 0.3})
+            stacked.step(stacked_params, grads, lrs)
             for k, opt in enumerate(solos):
                 opt.step(solo_params[k],
                          {name: g[k].copy() for name, g in grads.items()},
-                         {"A": float(lr_vec[k]), "W": float(lr_vec[k] * 0.3)})
+                         lrs)
         for k in range(self.K):
             for name in stacked_params:
                 np.testing.assert_array_equal(stacked_params[name][k],
@@ -272,43 +256,6 @@ class TestStackedOptimizers:
         for k in range(self.K):
             for name in stacked_params:
                 np.testing.assert_array_equal(stacked_params[name][k],
-                                              solo_params[k][name])
-
-    @pytest.mark.parametrize("make_opt", [SGD, MomentumSGD, Adam],
-                             ids=["sgd", "momentum", "adam"])
-    def test_take_rows_reindexes_state(self, make_opt):
-        """Retirement compaction: surviving rows keep their trajectories."""
-        rng = np.random.default_rng(5)
-        stacked_params = self._stacked_params(rng)
-        solo_params = [{name: np.array(p[k])  # 0-d arrays stay mutable
-                        for name, p in stacked_params.items()}
-                       for k in range(self.K)]
-        stacked = make_opt()
-        stacked.reset(n_rows=self.K)
-        solos = [make_opt() for _ in range(self.K)]
-        stream = self._grad_stream(6, 6)
-        for grads in stream[:3]:
-            stacked.step(stacked_params, grads, {"A": 0.5, "W": 0.1})
-            for k, opt in enumerate(solos):
-                opt.step(solo_params[k],
-                         {name: g[k].copy() for name, g in grads.items()},
-                         {"A": 0.5, "W": 0.1})
-        # retire the middle candidate; rows 0 and 2 survive
-        keep = np.array([0, 2])
-        stacked_params = {name: p[keep] for name, p in stacked_params.items()}
-        stacked.take_rows(keep)
-        for grads in stream[3:]:
-            kept_grads = {name: g[keep] for name, g in grads.items()}
-            stacked.step(stacked_params, kept_grads, {"A": 0.5, "W": 0.1})
-            for pos, k in enumerate(keep):
-                solos[k].step(
-                    solo_params[k],
-                    {name: g[pos].copy() for name, g in kept_grads.items()},
-                    {"A": 0.5, "W": 0.1},
-                )
-        for pos, k in enumerate(keep):
-            for name in stacked_params:
-                np.testing.assert_array_equal(stacked_params[name][pos],
                                               solo_params[k][name])
 
     @pytest.mark.parametrize("make_opt", [SGD, MomentumSGD, Adam],

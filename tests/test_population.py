@@ -6,9 +6,9 @@ reproduce a sequential :meth:`~repro.core.trainer.BackpropTrainer.fit`
 started from that member's ``(A, B)`` with the same seed — final
 parameters, readout, and the complete per-epoch history, for every
 optimizer (so momenta/moments and schedule state are transitively pinned).
-On top sit the retirement semantics, the :class:`PopulationDescent` search
-(executor parity, chunking invariance), the ``DFRClassifier`` wiring, and
-the ``REPRO_POPULATION`` resolution.
+On top sit the :class:`PopulationDescent` search (executor parity,
+chunking invariance), the ``DFRClassifier`` wiring, and the
+``REPRO_POPULATION`` resolution.
 """
 
 from dataclasses import replace
@@ -95,7 +95,7 @@ class TestPopulationTrainerParity:
         fused = PopulationTrainer(ModularDFR(_mask()), 3, config=cfg,
                                   seed=11).fit(u_train, data.y_train, A0, B0)
         assert fused.population == 3
-        assert fused.active_per_epoch == [3] * 6
+        assert all(len(m.result.history) == 6 for m in fused.members)
         for k in range(3):
             ref = BackpropTrainer(
                 ModularDFR(_mask()), 3,
@@ -149,67 +149,6 @@ class TestPopulationTrainerParity:
             trainer.fit(u_train, data.y_train, [0.1, 0.2], [0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             trainer.fit(u_train, data.y_train, [0.1, np.nan], [0.1, 0.2])
-        with pytest.raises(ValueError):
-            PopulationTrainer(ModularDFR(_mask()), 3, retire_tol=-1.0)
-        with pytest.raises(ValueError):
-            PopulationTrainer(ModularDFR(_mask()), 3, retire_patience=0)
-        with pytest.raises(ValueError):
-            PopulationTrainer(ModularDFR(_mask()), 3, retire_diverged_epochs=0)
-
-
-class TestRetirement:
-    def test_converged_members_leave_the_stack(self, toy):
-        data, u_train, _ = toy
-        cfg = TrainerConfig(epochs=8, batch_size=8)
-        result = PopulationTrainer(
-            ModularDFR(_mask()), 3, config=cfg, seed=5,
-            retire_tol=1.0, retire_patience=2,
-        ).fit(u_train, data.y_train, A0, B0)
-        # an absurdly large tol retires everything at the patience epoch
-        assert all(m.retired_epoch == 2 for m in result.members)
-        assert all(m.retired_reason == "converged" for m in result.members)
-        assert result.n_retired == 3
-        assert result.active_per_epoch == [3, 3]  # the fused sweep stopped
-        for m in result.members:
-            assert len(m.result.history) == 2
-
-    def test_retirement_shrinks_but_matches_per_member_rule(self, toy):
-        """Fused retirement == the same rule applied member by member.
-
-        The rule is a pure function of each member's own trajectory, so a
-        fused run with compaction must retire the same members at the same
-        epochs — and leave every trajectory untouched up to retirement —
-        as single-member runs with identical settings.
-        """
-        data, u_train, _ = toy
-        cfg = TrainerConfig(epochs=10, batch_size=4)
-        kwargs = dict(retire_tol=1e-4, retire_patience=2)
-        fused = PopulationTrainer(ModularDFR(_mask()), 3, config=cfg, seed=9,
-                                  **kwargs).fit(u_train, data.y_train, A0, B0)
-        for k in range(3):
-            solo = PopulationTrainer(
-                ModularDFR(_mask()), 3, config=cfg, seed=9, **kwargs,
-            ).fit(u_train, data.y_train, np.array([A0[k]]), np.array([B0[k]]))
-            assert (fused.members[k].retired_epoch
-                    == solo.members[0].retired_epoch)
-            assert (fused.members[k].retired_reason
-                    == solo.members[0].retired_reason)
-            _assert_same_training(fused.members[k].result,
-                                  solo.members[0].result)
-        widths = fused.active_per_epoch
-        assert all(b <= a for a, b in zip(widths, widths[1:]))
-
-    def test_budget_exhaustion_is_not_retirement(self, toy):
-        data, u_train, _ = toy
-        cfg = TrainerConfig(epochs=2, batch_size=8)
-        result = PopulationTrainer(
-            ModularDFR(_mask()), 3, config=cfg, seed=5,
-            retire_tol=1.0, retire_patience=2,
-        ).fit(u_train, data.y_train, A0, B0)
-        # patience lands exactly on the final epoch: members complete
-        # normally instead of being marked retired
-        assert result.n_retired == 0
-        assert all(m.retired_epoch is None for m in result.members)
 
 
 class TestResolvePopulation:
@@ -274,7 +213,8 @@ class TestPopulationDescentSearch:
         assert outcome.best == best_evaluation(outcome.evaluations)
         assert outcome.training_seconds > 0
         assert outcome.total_seconds >= outcome.training_seconds
-        assert outcome.active_per_epoch[0] == 5
+        assert all(len(m.result.history) == cfg.epochs
+                   for m in outcome.members)
         # member 0 is the paper's initialization
         assert outcome.members[0].init_A == cfg.init_A
         assert [m.index for m in outcome.members] == [0, 1, 2, 3, 4]

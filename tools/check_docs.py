@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation checker: snippets, local links, env-var and CLI drift.
+"""Documentation checker: snippets, links, env-var, CLI and keyword drift.
 
-Four checks, all cheap enough to gate CI (the ``docs`` job runs this):
+Five checks, all cheap enough to gate CI (the ``docs`` job runs this):
 
 1. **Snippet execution.**  Every fenced ``python`` code block immediately
    preceded by an ``<!-- check:exec -->`` marker is executed in a fresh
@@ -22,6 +22,12 @@ Four checks, all cheap enough to gate CI (the ``docs`` job runs this):
    ``repro.bench.__main__.build_parser()`` defines; a bare
    ``repro-bench --flag`` must be an option of some subcommand.
    ROADMAP.md is left out: it names commands that are only planned.
+5. **Keyword drift.**  In the same three files, a call in code written
+   ``Name(kw=...)`` or ``Name.method(kw=...)``, where ``Name`` is in some
+   ``repro`` module's ``__all__``, may pass only keywords that callable
+   accepts — or, when its signature takes ``**kwargs``, that the same
+   method of a class in its MRO accepts.  Inline code spans count even
+   when they wrap a line.
 
 Usage::
 
@@ -34,6 +40,9 @@ Exit code 0 when everything passes; 1 with a per-failure report otherwise.
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import re
 import sys
 import time
@@ -58,11 +67,15 @@ EXTERNAL = ("http://", "https://", "mailto:")
 ENV_NAME_RE = re.compile(r"REPRO_[A-Z0-9_]+")
 ENV_LITERAL_RE = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
 CLI = "repro-bench"
-CLI_FILES = ("README.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md")
+DRIFT_FILES = ("README.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md")
+INLINE_CODE_RE = re.compile(r"(`+)(.+?)(?<!`)\1(?!`)", re.DOTALL)
 SUBCOMMAND_RE = re.compile(r"[a-z][a-z0-9-]*")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 # tokens after which a shell line no longer belongs to the command
 SHELL_BREAKS = {"|", "||", "&&", ";", "#"}
+# `Name(` or `Name.method(`, not preceded by a dotted owner
+CALL_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?\(")
+KEYWORD_RE = re.compile(r"(?:^|[,\s])([A-Za-z_]\w*)\s*=(?!=)")
 
 
 def iter_exec_blocks(text: str):
@@ -112,27 +125,42 @@ def cli_options() -> dict:
     }
 
 
-def code_spans(text: str):
-    """Yield ``(spans, is_table_row)``: the code on each line.
+def inline_spans(text: str) -> list:
+    """The inline code spans of ``text``, a wrapped span joined by a space."""
+    return [m.group(2).replace("\n", " ")
+            for m in INLINE_CODE_RE.finditer(text)]
 
-    A fenced line is one span (backslash continuations joined); a prose
-    line gives its inline code spans.
+
+def code_spans(text: str):
+    """Yield ``(spans, is_table_row)``: the code of each line or paragraph.
+
+    A fenced line is one span (backslash continuations joined); a table
+    row gives its inline code spans; a prose paragraph gives its inline
+    code spans, including one that wraps a line.
     """
     fenced = False
     pending = ""
-    for line in text.splitlines():
-        if line.lstrip().startswith("```"):
+    paragraph = []
+    for line in text.splitlines() + [""]:
+        stripped = line.lstrip()
+        is_fence = stripped.startswith("```")
+        is_table_row = stripped.startswith("|")
+        if paragraph and (fenced or is_fence or is_table_row or not stripped):
+            yield inline_spans("\n".join(paragraph)), False
+            paragraph = []
+        if is_fence:
             fenced = not fenced
             pending = ""
-            continue
-        if fenced:
+        elif fenced:
             if line.endswith("\\"):
                 pending += line[:-1] + " "
                 continue
             yield [pending + line], False
             pending = ""
-        else:
-            yield line.split("`")[1::2], line.lstrip().startswith("|")
+        elif is_table_row:
+            yield inline_spans(line), True
+        elif stripped:
+            paragraph.append(line)
 
 
 def check_cli_flags(name: str, text: str, options: dict) -> list:
@@ -165,6 +193,112 @@ def check_cli_flags(name: str, text: str, options: dict) -> list:
     return failures
 
 
+def exported_names() -> dict:
+    """Name -> the ``repro`` modules whose ``__all__`` lists it."""
+    src = REPO_ROOT / "src"
+    exported = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__"
+                            for t in node.targets)):
+                for name in ast.literal_eval(node.value):
+                    exported.setdefault(name, []).append(module)
+    return exported
+
+
+def call_keywords(code: str, start: int) -> list:
+    """The keywords passed at the top level of the call opened just
+    before ``code[start]`` (string contents and nested brackets skipped)."""
+    depth = 1
+    quote = None
+    top = []
+    for ch in code[start:]:
+        if quote:
+            quote = None if ch == quote else quote
+            continue
+        if ch in "\"'":
+            quote = ch
+        elif ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                break
+        elif depth == 1:
+            top.append(ch)
+    return KEYWORD_RE.findall("".join(top))
+
+
+def _keyword_names(func) -> tuple:
+    """``(names, takes_var_keyword)`` of ``func``'s signature."""
+    params = inspect.signature(func).parameters.values()
+    names = {p.name for p in params
+             if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+    return names, any(p.kind is p.VAR_KEYWORD for p in params)
+
+
+def accepted_keywords(owner, method) -> set | None:
+    """Keywords ``owner(...)`` or ``owner.method(...)`` accepts; ``None``
+    when a ``**kwargs`` signature passes them somewhere other than the
+    same method of a class in ``owner``'s MRO."""
+    target = owner if method is None else getattr(owner, method)
+    try:
+        names, open_ended = _keyword_names(target)
+    except (TypeError, ValueError):  # no introspectable signature
+        return None
+    if not open_ended:
+        return names
+    attr = method or "__init__"
+    bases = [klass for klass in getattr(owner, "__mro__", ())[1:]
+             if klass is not object and attr in vars(klass)]
+    if not bases:
+        return None
+    for klass in bases:
+        names |= _keyword_names(getattr(klass, attr))[0]
+    return names
+
+
+def resolve_export(name: str, modules: list):
+    """The object ``name`` exports from the first of ``modules`` that
+    imports on this host (``None`` if none does)."""
+    for module in modules:
+        try:
+            return getattr(importlib.import_module(module), name)
+        except ImportError:
+            continue
+    return None
+
+
+def check_keywords(name: str, text: str, exported: dict) -> tuple:
+    """Keyword-drift failures in ``text`` and the number of calls checked."""
+    failures = []
+    n_calls = 0
+    for spans, _ in code_spans(text):
+        for span in spans:
+            for match in CALL_RE.finditer(span):
+                owner_name, method = match.groups()
+                keywords = call_keywords(span, match.end())
+                if owner_name not in exported or not keywords:
+                    continue
+                owner = resolve_export(owner_name, exported[owner_name])
+                if owner is None:
+                    continue
+                call = owner_name + (f".{method}" if method else "")
+                if method is not None and not hasattr(owner, method):
+                    failures.append(f"{name}: `{call}` does not exist")
+                    continue
+                accepted = accepted_keywords(owner, method)
+                n_calls += 1
+                if accepted is None:
+                    continue
+                failures.extend(f"{name}: `{call}` takes no keyword {kw!r}"
+                                for kw in keywords if kw not in accepted)
+    return failures, n_calls
+
+
 def run_snippet(source_name: str, code: str) -> list:
     namespace = {"__name__": "__main__"}
     start = time.perf_counter()
@@ -181,6 +315,7 @@ def main(argv=None) -> int:
     args = (argv if argv is not None else sys.argv[1:]) or DEFAULT_FILES
     sys.path.insert(0, str(REPO_ROOT / "src"))
     failures = []
+    exported = exported_names()
     for name in args:
         path = REPO_ROOT / name
         if not path.exists():
@@ -190,8 +325,11 @@ def main(argv=None) -> int:
         failures.extend(check_links(path, text))
         if name == "README.md":
             failures.extend(check_env_names(text))
-        if name in CLI_FILES:
+        if name in DRIFT_FILES:
             failures.extend(check_cli_flags(name, text, cli_options()))
+            drift, n_calls = check_keywords(name, text, exported)
+            failures.extend(drift)
+            print(f"  checked the keywords of {n_calls} calls in {name}")
         for code in iter_exec_blocks(text):
             failures.extend(run_snippet(name, code))
     if failures:
