@@ -16,7 +16,9 @@ recurrence whose per-position Python cost they share, while each serial
 candidate's 90 rows (x N_x = 24, below the kernel crossover) stay on
 ``lfilter`` (docs/ARCHITECTURE.md, "The identity chain").  The
 per-candidate ridge/beta fits are inherent.  On a 2-core x86_64 host the
-ratio read 1.18-1.59 in six runs of this file alone; with more samples
+ratio read 1.41-1.72 in four runs of the two grid gates alone and
+1.15-1.71 in four full tier-1 runs, with the serial and fused levels
+timed in turn (best of two each); with more samples
 per candidate the serial path runs the recurrence too and the margin
 narrows, and on very long series the stacked trace fights the cache —
 tune ``candidate_block_size`` there.  The default floor is therefore a
@@ -53,13 +55,16 @@ def test_vectorized_grid_speedup(benchmark, jpvow_small):
         )
 
     # warm both paths once (allocator/cache effects), then time best-of-2
+    # per side, interleaved (serial, fused, serial, fused) so that one slow
+    # stretch of host time rarely lands on one side only
     run_level(SerialExecutor())
     run_level(VectorizedExecutor(block_size=BLOCK_SIZE))
-    serial = min((run_level(SerialExecutor()) for _ in range(2)),
-                 key=lambda level: level.elapsed_seconds)
-    fused = min((run_level(VectorizedExecutor(block_size=BLOCK_SIZE))
-                 for _ in range(2)),
-                key=lambda level: level.elapsed_seconds)
+    serials, fuseds = [], []
+    for _ in range(2):
+        serials.append(run_level(SerialExecutor()))
+        fuseds.append(run_level(VectorizedExecutor(block_size=BLOCK_SIZE)))
+    serial = min(serials, key=lambda level: level.elapsed_seconds)
+    fused = min(fuseds, key=lambda level: level.elapsed_seconds)
 
     # candidate-axis fusion must never change results — bit for bit
     assert fused.evaluations == serial.evaluations

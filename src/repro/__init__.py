@@ -65,9 +65,11 @@ from repro.reservoir import (
     get_nonlinearity,
 )
 from repro.utils.blas import pin_blas_threads
+from repro.utils.heap import set_heap_policy
 
 # after the imports above have loaded NumPy's and SciPy's OpenBLAS
 pin_blas_threads()
+set_heap_policy()
 
 __version__ = "1.0.0"
 

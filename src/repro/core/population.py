@@ -331,10 +331,9 @@ class PopulationTrainer:
             if not n_div.any():
                 # no member diverged: the fused outputs are the gradients,
                 # with no scatter and no copies of the parameter stacks.
-                # `feats` stays bound until the next step's forward pass has
-                # allocated: freed earlier, glibc trims the heap top and that
-                # pass faults its trace in on fresh pages (K=8 JPVOW bench:
-                # 51k against 19k minor faults per fit)
+                # Each step reuses the last step's freed pages whatever
+                # order its temporaries die in (docs/ARCHITECTURE.md,
+                # "Heap policy").
                 feats = self.dprr.features(trace, backend=xb)
                 out = self.engine.batch_gradients(
                     win.window_states, win.window_pre_activations, feats,

@@ -136,3 +136,15 @@ class TestMachineFingerprint:
         assert fingerprint["cpu_count"] == os.cpu_count()
         assert fingerprint["usable_cores"] == len(os.sched_getaffinity(0))
         assert fingerprint["blas_threads"] == blas_threads()
+
+    def test_records_the_heap_policy_outside_the_key(self, bench_history):
+        from repro.utils.heap import heap_policy
+
+        entry = bench_history.build_entry({})
+        assert entry["machine"]["heap_policy"] == heap_policy()
+        # a heap policy changes no result, so it does not split the history
+        other = dict(entry, machine=dict(entry["machine"], heap_policy={}))
+        assert bench_history.comparable(other, entry)
+        fewer_cores = dict(entry["machine"], usable_cores=0)
+        assert not bench_history.comparable(
+            dict(entry, machine=fewer_cores), entry)

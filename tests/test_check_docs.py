@@ -72,6 +72,8 @@ trainer_config=cfg, seed=4)`, whose `seed` its search base takes.
 
 ```python
 engine = ServeEngine(max_batch=32, deadline_ms=10.0)
+plan = FaultPlan(faults=[FaultSpec(kind="raise_sweep", at=1)],
+                 seed=11)
 ```
 """
 
@@ -84,7 +86,7 @@ def check_keywords(check_docs, text):
 def test_accepted_keywords_pass(check_docs):
     failures, n_calls = check_keywords(check_docs, KEYWORD_DOC)
     assert failures == []
-    assert n_calls == 5
+    assert n_calls == 7
 
 
 @pytest.mark.parametrize("old, new", [
@@ -93,8 +95,9 @@ def test_accepted_keywords_pass(check_docs):
     ("speculative=4", "speculate=4"),
     ("SimulatedAnnealing.search", "SimulatedAnnealing.serch"),
     ("deadline_ms=10.0", "deadline=10.0"),
+    ("seed=11", "sead=11"),
 ], ids=["wrapped-span", "mro-kwargs", "method", "missing-method",
-        "fenced-line"])
+        "fenced-line", "fenced-later-line"])
 def test_keyword_drift_is_reported(check_docs, old, new):
     assert old in KEYWORD_DOC
     failures, _ = check_keywords(check_docs,

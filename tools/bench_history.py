@@ -88,10 +88,13 @@ def machine_fingerprint() -> dict:
     ``blas_threads`` the thread count of each OpenBLAS pool, which is part
     of the numerics contract.  ``cpu_count`` is kept so the host reads the
     same in older entries, which lack the other two keys and so compare
-    with no newer entry.
+    with no newer entry.  ``heap_policy`` records the allocator
+    thresholds the package set; it changes no result, so
+    :func:`comparable` ignores it.
     """
     with _checkout_package():
         from repro.utils.blas import blas_threads
+        from repro.utils.heap import heap_policy
     return {
         "hostname": platform.node(),
         "machine": platform.machine(),
@@ -101,6 +104,7 @@ def machine_fingerprint() -> dict:
         "usable_cores": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "blas_threads": blas_threads(),
+        "heap_policy": heap_policy(),
     }
 
 
@@ -340,11 +344,17 @@ def comparable(old: dict, new: dict) -> bool:
 
     Entries written before the ``suite`` field existed are all training
     runs, so a missing field defaults to ``"training"`` — serving-latency
-    entries never compare against them.
+    entries never compare against them.  The machine's ``heap_policy`` is
+    recorded, not matched.
     """
+    def machine(entry):
+        fingerprint = dict(entry.get("machine") or {})
+        fingerprint.pop("heap_policy", None)
+        return fingerprint
+
     return (
         old.get("suite", "training") == new.get("suite", "training")
-        and old.get("machine") == new.get("machine")
+        and machine(old) == machine(new)
         and old.get("backends") == new.get("backends")
         and old.get("dtype") == new.get("dtype")
         and old.get("backend_env") == new.get("backend_env")

@@ -26,8 +26,10 @@ Five checks, all cheap enough to gate CI (the ``docs`` job runs this):
    ``Name(kw=...)`` or ``Name.method(kw=...)``, where ``Name`` is in some
    ``repro`` module's ``__all__``, may pass only keywords that callable
    accepts — or, when its signature takes ``**kwargs``, that the same
-   method of a class in its MRO accepts.  Inline code spans count even
-   when they wrap a line.
+   method of a class in its MRO accepts.  A ``python`` fence is parsed
+   with :mod:`ast`, so a call's keywords count on every line it spans;
+   inline code spans count even when they wrap a line, and other fences
+   line by line.
 
 Usage::
 
@@ -272,30 +274,58 @@ def resolve_export(name: str, modules: list):
     return None
 
 
+def calls(text: str):
+    """Yield ``(name, method, keywords)`` for each call written in code.
+
+    A ``python`` fence's calls come from its syntax tree; the calls of
+    every other span, and of a fence that does not parse, are matched by
+    :data:`CALL_RE`.  ``method`` is ``None`` for ``Name(...)``.
+    """
+    rest = text
+    for match in FENCE_RE.finditer(text):
+        try:
+            tree = ast.parse(match.group("code"))
+        except SyntaxError:
+            continue
+        rest = rest.replace(match.group(0), "", 1)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                owner, method = func.id, None
+            elif (isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Name)):
+                owner, method = func.value.id, func.attr
+            else:
+                continue
+            yield owner, method, [kw.arg for kw in node.keywords if kw.arg]
+    for spans, _ in code_spans(rest):
+        for span in spans:
+            for match in CALL_RE.finditer(span):
+                yield (*match.groups(), call_keywords(span, match.end()))
+
+
 def check_keywords(name: str, text: str, exported: dict) -> tuple:
     """Keyword-drift failures in ``text`` and the number of calls checked."""
     failures = []
     n_calls = 0
-    for spans, _ in code_spans(text):
-        for span in spans:
-            for match in CALL_RE.finditer(span):
-                owner_name, method = match.groups()
-                keywords = call_keywords(span, match.end())
-                if owner_name not in exported or not keywords:
-                    continue
-                owner = resolve_export(owner_name, exported[owner_name])
-                if owner is None:
-                    continue
-                call = owner_name + (f".{method}" if method else "")
-                if method is not None and not hasattr(owner, method):
-                    failures.append(f"{name}: `{call}` does not exist")
-                    continue
-                accepted = accepted_keywords(owner, method)
-                n_calls += 1
-                if accepted is None:
-                    continue
-                failures.extend(f"{name}: `{call}` takes no keyword {kw!r}"
-                                for kw in keywords if kw not in accepted)
+    for owner_name, method, keywords in calls(text):
+        if owner_name not in exported or not keywords:
+            continue
+        owner = resolve_export(owner_name, exported[owner_name])
+        if owner is None:
+            continue
+        call = owner_name + (f".{method}" if method else "")
+        if method is not None and not hasattr(owner, method):
+            failures.append(f"{name}: `{call}` does not exist")
+            continue
+        accepted = accepted_keywords(owner, method)
+        n_calls += 1
+        if accepted is None:
+            continue
+        failures.extend(f"{name}: `{call}` takes no keyword {kw!r}"
+                        for kw in keywords if kw not in accepted)
     return failures, n_calls
 
 
