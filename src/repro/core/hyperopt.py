@@ -43,8 +43,7 @@ from repro.core.pipeline import DFRFeatureExtractor, FixedParamsEvaluation
 from repro.core.population import (
     MemberResult,
     PopulationResult,
-    chunked_population_fit,
-    draw_starting_points,
+    descend_population,
     resolve_population,
 )
 from repro.core.selection import best_evaluation, better_evaluation
@@ -300,8 +299,11 @@ class PopulationDescent(CandidateSearch):
     (``REPRO_CANDIDATE_BLOCK_SIZE``) when the population exceeds it, so
     peak trace memory is bounded exactly like a vectorized evaluation
     block; every chunk shares one shuffle seed, so results are independent
-    of the chunking (and, on NumPy, bit-identical to sequential per-member
-    training — pinned by ``tests/test_population.py``).  Endpoint scoring
+    of the chunking (and, on NumPy at ``batch_size > 1``, bit-identical to
+    sequential per-member training — pinned by ``tests/test_population.py``).
+    A population of one trains as one
+    :meth:`~repro.core.trainer.BackpropTrainer.fit`, the paper's per-sample
+    SGD at ``batch_size=1``.  Endpoint scoring
     goes through ``self.executor`` as one submission — batch-preferring
     executors (vectorized, multiprocess) consume it whole — with one shared
     holdout split for the whole population (the sibling searches'
@@ -337,34 +339,29 @@ class PopulationDescent(CandidateSearch):
 
     def descend(self, u_train, y_train, *, population: Optional[int] = None,
                 n_classes: Optional[int] = None) -> PopulationResult:
-        """Run only the fused descent phase (no endpoint scoring).
+        """Run only the descent phase (no endpoint scoring).
 
-        Returns the merged :class:`~repro.core.population.PopulationResult`
-        over all chunks; members keep their population-wide indices.
+        Trains through :func:`~repro.core.population.descend_population`
+        and returns its merged
+        :class:`~repro.core.population.PopulationResult`; members keep
+        their population-wide indices.
         """
         if self.extractor.reservoir is None:
             raise RuntimeError("extractor must be fitted before descent")
         if n_classes is None:
             n_classes = int(np.asarray(y_train).max()) + 1
-        k = resolve_population(
-            population if population is not None else self.population)
-        a0, b0 = draw_starting_points(
-            self._rng, k, self.a_range, self.b_range,
-            init_A=self.trainer_config.init_A,
-            init_B=self.trainer_config.init_B,
-        )
-        shuffle_seed = int(self._rng.integers(2**31 - 1))
-        u_std = self.extractor.standardizer.transform(u_train)
-        return chunked_population_fit(
+        return descend_population(
             self.extractor.reservoir,
             n_classes,
-            u_std,
+            self.extractor.standardizer.transform(u_train),
             y_train,
-            a0,
-            b0,
+            self._rng,
+            population=resolve_population(
+                population if population is not None else self.population),
+            a_range=self.a_range,
+            b_range=self.b_range,
             dprr=self.extractor.dprr,
             config=self.trainer_config,
-            shuffle_seed=shuffle_seed,
             block_size=resolve_candidate_block_size(self.candidate_block_size),
         )
 

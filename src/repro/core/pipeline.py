@@ -29,9 +29,7 @@ import numpy as np
 from repro.backend import default_backend, resolve_backend
 from repro.core.population import (
     PopulationResult,
-    PopulationTrainer,
-    chunked_population_fit,
-    draw_starting_points,
+    descend_population,
     resolve_population,
 )
 from repro.core.trainer import BackpropTrainer, TrainerConfig, TrainingResult
@@ -561,10 +559,11 @@ class DFRClassifier:
         ``(0.01, 0.01)``; ``"descent"`` runs *population* gradient descent
         — ``population`` restarts descended concurrently through the
         candidate-axis-vectorized engine
-        (:class:`~repro.core.population.PopulationTrainer`), with the
+        (:func:`~repro.core.population.descend_population`), with the
         winner picked by the shared validation criterion on the training
-        set.  ``search="descent"`` with ``population=1`` is bit-identical
-        to the default (pinned by tests).
+        set.  ``search="descent"`` with ``population=1`` runs the default
+        path, so it is bit-identical to it (pinned by tests), and
+        ``population_`` holds that one fit as a one-member population.
     population:
         Restart count for ``search="descent"``; ``None`` defers to the
         ``REPRO_POPULATION`` environment variable (default 8).  Ignored by
@@ -660,66 +659,44 @@ class DFRClassifier:
         self.extractor.fit(u)
         u_std = self.extractor.standardizer.transform(u)
 
+        k = 1
         if self.search == "descent":
-            # population gradient descent: K restarts trained as one fused
-            # candidate-stacked program; member 0 starts at the paper's
-            # initialization, so population=1 reproduces the default path
-            # bit for bit (the winner is then the only member and the
-            # shared tail below is identical)
+            k = resolve_population(self.population)
+        if k > 1:
+            # population gradient descent: K restarts trained as fused
+            # candidate-stacked chunks, the winner picked by the shared
+            # validation rule
             from repro.core.grid_search import PAPER_A_RANGE, PAPER_B_RANGE
 
             from repro.exec import resolve_candidate_block_size
 
-            k = resolve_population(self.population)
-            a0, b0 = draw_starting_points(
-                self._rng, k, PAPER_A_RANGE, PAPER_B_RANGE,
-                init_A=self.config.init_A, init_B=self.config.init_B,
-            )
-            if k > 1:
-                # chunked by the candidate block size so the stacked trace
-                # stays bounded at any population; the chunk-invariance
-                # contract (every chunk re-seeds one shuffle stream, no
-                # per-sample delegation inside a slice) is owned entirely
-                # by chunked_population_fit — PopulationDescent.descend
-                # goes through the same helper.  Only the seed preamble
-                # differs between the two entry points, deliberately: at
-                # population=1 this classifier must consume the live rng
-                # stream exactly like the default path (the bitwise pin
-                # below), so the drawn shuffle seed exists only here.
-                shuffle_seed = int(self._rng.integers(2**31 - 1))
-                self.population_ = chunked_population_fit(
-                    self.extractor.reservoir,
-                    self.n_classes_,
-                    u_std,
-                    y,
-                    a0,
-                    b0,
-                    dprr=self.extractor.dprr,
-                    config=self.config,
-                    shuffle_seed=shuffle_seed,
-                    block_size=resolve_candidate_block_size(None),
-                )
-                return self._select_member(u, y)
-            # a population of one trains directly on the live rng stream,
-            # which is what keeps it bit-identical to the default path
-            trainer = PopulationTrainer(
+            self.population_ = descend_population(
                 self.extractor.reservoir,
                 self.n_classes_,
+                u_std,
+                y,
+                self._rng,
+                population=k,
+                a_range=PAPER_A_RANGE,
+                b_range=PAPER_B_RANGE,
                 dprr=self.extractor.dprr,
                 config=self.config,
-                seed=self._rng,
+                block_size=resolve_candidate_block_size(None),
             )
-            self.population_ = trainer.fit(u_std, y, a0, b0)
-            self.training_ = self.population_.members[0].result
-        else:
-            trainer = BackpropTrainer(
-                self.extractor.reservoir,
-                self.n_classes_,
-                dprr=self.extractor.dprr,
-                config=self.config,
-                seed=self._rng,
-            )
-            self.training_ = trainer.fit(u_std, y)
+            return self._select_member(u, y)
+        trainer = BackpropTrainer(
+            self.extractor.reservoir,
+            self.n_classes_,
+            dprr=self.extractor.dprr,
+            config=self.config,
+            seed=self._rng,
+        )
+        self.training_ = trainer.fit(u_std, y)
+        if self.search == "descent":
+            # a population of one is the default path on the live rng
+            # stream, so it is bit-identical to search="backprop"
+            self.population_ = PopulationResult.of_one(
+                self.training_, self.config.init_A, self.config.init_B)
         self.A_ = self.training_.A
         self.B_ = self.training_.B
 

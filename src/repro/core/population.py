@@ -14,21 +14,21 @@ trajectories, one shared data pass.
 
 Numerical contract (pinned by ``tests/test_population.py``):
 
-* a population of one with ``batch_size=1`` *is* the paper's per-sample SGD
-  — :class:`PopulationTrainer` delegates to
-  :class:`~repro.core.trainer.BackpropTrainer` outright, so the pinned
-  NumPy reference trajectory is reproduced bit for bit;
-* everything else — any population at ``batch_size > 1``, including the
-  population of one that ``BackpropTrainer.fit`` trains at that batch size
-  — runs :meth:`PopulationTrainer._fused_epoch` (docs/ARCHITECTURE.md,
-  "Where minibatch SGD runs"), and member ``k`` of a
-  fused K-member run is bit-identical (on NumPy) to a population of one
-  started from that member's ``(A, B)`` with the same seed — including
+* :class:`PopulationTrainer` always runs
+  :meth:`PopulationTrainer._fused_epoch` (docs/ARCHITECTURE.md, "Where
+  minibatch SGD runs"), and member ``k`` of a fused K-member run is
+  bit-identical (on NumPy) to a population of one started from that
+  member's ``(A, B)`` with the same seed — at ``batch_size > 1`` that is
+  what :meth:`~repro.core.trainer.BackpropTrainer.fit` trains — including
   optimizer moments, learning-rate schedule state, divergence pull-backs,
   and the gradient-clip arithmetic.  All members share one shuffle stream
   (common random numbers): every member sees the same sample order each
   epoch, which is what lets the forward/backward fuse, and is the usual
   variance-reduction choice when comparing restarts.
+* :func:`descend_population` trains a population of one as one
+  :meth:`~repro.core.trainer.BackpropTrainer.fit`, so at ``batch_size=1``
+  it *is* the paper's per-sample SGD, the pinned NumPy reference
+  trajectory bit for bit.
 
 Every member trains for the full ``epochs`` budget on a stack whose
 width never changes, so all members share one epoch and one learning rate
@@ -43,7 +43,7 @@ not receive an explicit one (``DFRClassifier(search="descent")``,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -72,7 +72,7 @@ __all__ = [
     "DEFAULT_POPULATION",
     "resolve_population",
     "draw_starting_points",
-    "chunked_population_fit",
+    "descend_population",
     "MemberResult",
     "PopulationResult",
     "PopulationTrainer",
@@ -130,48 +130,53 @@ def draw_starting_points(
     return a0, b0
 
 
-def chunked_population_fit(
+def descend_population(
     reservoir: ModularDFR,
     n_classes: int,
     u: np.ndarray,
     y: np.ndarray,
-    a0: np.ndarray,
-    b0: np.ndarray,
+    rng: np.random.Generator,
     *,
+    population: int,
+    a_range: Tuple[float, float],
+    b_range: Tuple[float, float],
     dprr: Optional[DPRR] = None,
     config: Optional[TrainerConfig] = None,
-    shuffle_seed: int,
     block_size: int,
 ) -> "PopulationResult":
-    """Train ONE logical population in fused chunks of ``block_size``.
+    """Descend ``population`` restarts drawn over a log10 search box.
 
-    Bounds the stacked-trace memory at any population size: each chunk is a
-    separate :meth:`PopulationTrainer.fit` over at most ``block_size``
-    members.  Every chunk re-seeds the same shuffle stream
-    (``shuffle_seed``), so all members see identical sample orders and the
-    outcome does not depend on how the population was chunked (pinned by
-    ``tests/test_population.py``).  Because a chunk is a *slice* of one
-    population, single-member per-sample delegation applies only when the
-    whole population is one member — otherwise a trailing chunk of one
-    would train through different arithmetic than the same member in a
-    wider chunk.
+    Draws the starting points (:func:`draw_starting_points`), then one
+    shuffle seed, from ``rng``.  A population of one trains as one
+    :meth:`~repro.core.trainer.BackpropTrainer.fit` seeded with that
+    shuffle seed, so at ``batch_size=1`` it is the paper's per-sample SGD.
+    A larger population trains in fused chunks of at most ``block_size``
+    members, each a separate :meth:`PopulationTrainer.fit`, which bounds
+    the stacked-trace memory at any population size.  Every chunk re-seeds
+    the same shuffle stream, so all members see identical sample orders and
+    the outcome does not depend on how the population was chunked (pinned
+    by ``tests/test_population.py``).  ``u`` must be standardized.
 
     Returns the merged :class:`PopulationResult`; members keep their
     population-wide indices.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    k = len(a0)
+    config = config if config is not None else TrainerConfig()
+    a0, b0 = draw_starting_points(rng, population, a_range, b_range,
+                                  init_A=config.init_A, init_B=config.init_B)
+    shuffle_seed = int(rng.integers(2**31 - 1))
+    if population == 1:
+        result = BackpropTrainer(reservoir, n_classes, dprr=dprr,
+                                 config=config, seed=shuffle_seed).fit(u, y)
+        return PopulationResult.of_one(result, a0[0], b0[0])
     members: List[MemberResult] = []
     elapsed = 0.0
-    for lo in range(0, k, block_size):
-        hi = min(lo + block_size, k)
-        trainer = PopulationTrainer(
-            reservoir, n_classes, dprr=dprr, config=config,
-            delegate_single=(k == 1),
-            seed=shuffle_seed,
-        )
-        chunk = trainer.fit(u, y, a0[lo:hi], b0[lo:hi])
+    for lo in range(0, population, block_size):
+        trainer = PopulationTrainer(reservoir, n_classes, dprr=dprr,
+                                    config=config, seed=shuffle_seed)
+        chunk = trainer.fit(u, y, a0[lo:lo + block_size],
+                            b0[lo:lo + block_size])
         for offset, member in enumerate(chunk.members):
             member.index = lo + offset
             members.append(member)
@@ -204,6 +209,16 @@ class PopulationResult:
         """Per-member :class:`~repro.core.trainer.TrainingResult`, in order."""
         return [m.result for m in self.members]
 
+    @classmethod
+    def of_one(cls, result: TrainingResult, init_A: float,
+               init_B: float) -> "PopulationResult":
+        """A population of one: a single trainer fit from ``(init_A, init_B)``."""
+        return cls(
+            members=[MemberResult(index=0, init_A=float(init_A),
+                                  init_B=float(init_B), result=result)],
+            elapsed_seconds=result.elapsed_seconds,
+        )
+
 
 class PopulationTrainer:
     """Descend K ``(A, B)`` starting points through one fused program.
@@ -220,15 +235,6 @@ class PopulationTrainer:
         As for :class:`~repro.core.trainer.BackpropTrainer`.  ``seed``
         drives the *shared* shuffle stream (all members see the same sample
         order; see the module docstring).
-    delegate_single:
-        Whether a population of one at ``batch_size=1`` delegates to the
-        per-sample :class:`~repro.core.trainer.BackpropTrainer` reference
-        (the default, and the ``population=1`` bit-parity contract).  A
-        caller that splits ONE logical population across several ``fit``
-        calls (:meth:`PopulationDescent.descend` chunking) passes ``False``
-        so a trailing chunk of one trains through the same fused arithmetic
-        as every other chunk — otherwise chunking could change a member's
-        trajectory.
     """
 
     def __init__(
@@ -238,14 +244,12 @@ class PopulationTrainer:
         *,
         dprr: Optional[DPRR] = None,
         config: Optional[TrainerConfig] = None,
-        delegate_single: bool = True,
         seed: SeedLike = None,
     ):
         self.reservoir = reservoir
         self.n_classes = int(n_classes)
         self.dprr = dprr if dprr is not None else DPRR()
         self.config = config if config is not None else TrainerConfig()
-        self.delegate_single = bool(delegate_single)
         self.rng = ensure_rng(seed)
         self.engine = BackpropEngine(
             reservoir.nonlinearity, dprr=self.dprr, window=self.config.window,
@@ -302,11 +306,11 @@ class PopulationTrainer:
                      optimizer, backward_window, t_len, lr_r, lr_o):
         """One epoch of minibatch SGD for the whole stack.
 
-        The one minibatch SGD loop (``batch_size > 1``, any population
-        size): every minibatch shares one ``(A, B)`` snapshot per member
-        and runs ONE vector-``(A, B)`` forward and one candidate-stacked
-        backward for all members; gradients are averaged over each
-        member's non-diverged rows.  Members with diverged samples in the
+        The one minibatch SGD loop (any population size, any batch size):
+        every minibatch shares one ``(A, B)`` snapshot per member and runs
+        ONE vector-``(A, B)`` forward and one candidate-stacked backward
+        for all members; gradients are averaged over each member's
+        non-diverged rows.  Members with diverged samples in the
         minibatch leave the fused call: each diverged row pulls the
         member's ``(A, B)`` back once, and its valid rows train as a
         sub-batch sliced from the already-computed stacked trace — the
@@ -424,26 +428,6 @@ class PopulationTrainer:
     # the public protocol                                                 #
     # ------------------------------------------------------------------ #
 
-    def _delegate_single(self, u, y, a0: float, b0: float,
-                         start: float) -> PopulationResult:
-        """Population of one at ``batch_size=1``: the paper's reference.
-
-        Runs :class:`~repro.core.trainer.BackpropTrainer` outright (same
-        rng object, same config with the member's initialization), so the
-        per-sample SGD trajectory is the pinned seed protocol bit for bit.
-        """
-        trainer = BackpropTrainer(
-            self.reservoir, self.n_classes, dprr=self.dprr,
-            config=replace(self.config, init_A=float(a0), init_B=float(b0)),
-            seed=self.rng,
-        )
-        result = trainer.fit(u, y)
-        return PopulationResult(
-            members=[MemberResult(index=0, init_A=float(a0),
-                                  init_B=float(b0), result=result)],
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
     def fit(self, u: np.ndarray, y: np.ndarray,
             init_A=None, init_B=None) -> PopulationResult:
         """Descend every member of the population on a training set.
@@ -489,9 +473,6 @@ class PopulationTrainer:
         if not (np.isfinite(a0).all() and np.isfinite(b0).all()):
             raise ValueError("all initial (A, B) members must be finite")
         k_total = a0.shape[0]
-
-        if k_total == 1 and cfg.batch_size == 1 and self.delegate_single:
-            return self._delegate_single(u, y, a0[0], b0[0], start)
 
         targets = one_hot(y, self.n_classes)
         n_samples, t_len, _ = u.shape

@@ -16,11 +16,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.grid_search import PAPER_A_RANGE, PAPER_B_RANGE
 from repro.core.hyperopt import DescentOutcome, PopulationDescent
 from repro.core.pipeline import DFRClassifier, DFRFeatureExtractor
 from repro.core.population import (
     DEFAULT_POPULATION,
     PopulationTrainer,
+    descend_population,
     draw_starting_points,
     resolve_population,
 )
@@ -72,15 +74,37 @@ class TestPopulationTrainerParity:
     """Fused descent == sequential BackpropTrainer runs, bit for bit."""
 
     def test_population_of_one_per_sample_is_the_paper_reference(self, toy):
-        """K=1 at batch_size=1 IS BackpropTrainer.fit (the pinned seed SGD)."""
+        """A descent of K=1 at batch_size=1 IS BackpropTrainer.fit (the
+        pinned seed SGD), seeded with the shuffle seed the routine draws."""
         data, u_train, _ = toy
         cfg = TrainerConfig(epochs=5)
-        pop = PopulationTrainer(ModularDFR(_mask()), 3, config=cfg, seed=3)
-        result = pop.fit(u_train, data.y_train)
+        result = descend_population(
+            ModularDFR(_mask()), 3, u_train, data.y_train,
+            np.random.default_rng(3), population=1,
+            a_range=PAPER_A_RANGE, b_range=PAPER_B_RANGE, config=cfg,
+            block_size=2,
+        )
+        # a population of one draws no starting point, only the seed
+        shuffle_seed = int(np.random.default_rng(3).integers(2**31 - 1))
         ref = BackpropTrainer(ModularDFR(_mask()), 3, config=cfg,
-                              seed=3).fit(u_train, data.y_train)
+                              seed=shuffle_seed).fit(u_train, data.y_train)
         assert result.population == 1
+        assert result.members[0].init_A == cfg.init_A
+        assert result.members[0].init_B == cfg.init_B
         _assert_same_training(result.members[0].result, ref)
+
+    def test_population_of_one_trains_fused_at_batch_one(self, toy):
+        """PopulationTrainer has one loop: a lone member at batch_size=1 is
+        member 0 of a wider fused run, not the per-sample reference."""
+        data, u_train, _ = toy
+        cfg = TrainerConfig(epochs=5, backend="numpy")
+        one = PopulationTrainer(ModularDFR(_mask()), 3, config=cfg,
+                                seed=3).fit(u_train, data.y_train)
+        two = PopulationTrainer(ModularDFR(_mask()), 3, config=cfg,
+                                seed=3).fit(u_train, data.y_train,
+                                            A0[:2], B0[:2])
+        assert one.population == 1
+        _assert_same_training(one.members[0].result, two.members[0].result)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
     def test_fused_members_match_sequential_runs(self, toy, optimizer):
