@@ -23,7 +23,9 @@ is the single seam those searches submit work through:
   ``REPRO_WORKERS`` knob (plus the ``backend`` spec, the ``REPRO_EXECUTOR``
   kind override, and the ``candidate_block_size`` /
   ``REPRO_CANDIDATE_BLOCK_SIZE`` fusion knob) shared by the classifier,
-  the searches, and the ``repro-bench`` CLI.
+  the searches, and the ``repro-bench`` CLI.  The supervision settings
+  of :class:`MultiprocessExecutor` (``max_retries``, ``backoff_ms``,
+  ``task_timeout_ms``) are constructor arguments only.
 
 See ``docs/ARCHITECTURE.md`` for how this seam relates to the
 :class:`~repro.backend.ArrayBackend` seam one layer below it.
@@ -42,9 +44,6 @@ from repro.exec.executors import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_BACKOFF_MS,
     EXECUTOR_ENV_VAR,
-    MAX_RETRIES_ENV_VAR,
-    RETRY_BACKOFF_ENV_VAR,
-    TASK_TIMEOUT_ENV_VAR,
     WORKERS_ENV_VAR,
     BackendExecutor,
     CandidateExecutor,
@@ -54,9 +53,6 @@ from repro.exec.executors import (
     make_executor,
     resolve_candidate_block_size,
     resolve_executor_kind,
-    resolve_max_retries,
-    resolve_retry_backoff_ms,
-    resolve_task_timeout_ms,
     resolve_workers,
 )
 from repro.exec.seeding import derive_candidate_seed, derive_candidate_seeds
@@ -75,18 +71,12 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "EXECUTOR_ENV_VAR",
     "BLOCK_SIZE_ENV_VAR",
-    "MAX_RETRIES_ENV_VAR",
-    "RETRY_BACKOFF_ENV_VAR",
-    "TASK_TIMEOUT_ENV_VAR",
     "DEFAULT_CANDIDATE_BLOCK_SIZE",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_RETRY_BACKOFF_MS",
     "make_executor",
     "resolve_executor_kind",
     "resolve_candidate_block_size",
-    "resolve_max_retries",
-    "resolve_retry_backoff_ms",
-    "resolve_task_timeout_ms",
     "resolve_workers",
     "derive_candidate_seed",
     "derive_candidate_seeds",

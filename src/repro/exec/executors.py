@@ -40,13 +40,15 @@ the vectorized executor (standalone or inside workers).
 
 Supervision: :class:`MultiprocessExecutor` runs every submission under a
 supervision loop — per-dispatch heartbeat, optional per-task timeout
-(``REPRO_TASK_TIMEOUT_MS``), dead-worker detection with pool rebuild, and
-bounded retry with exponential backoff (``REPRO_MAX_RETRIES`` /
-``REPRO_RETRY_BACKOFF_MS``).  Lost or transiently failed work units are
-re-dispatched through the same per-candidate seed derivation, so a
-recovered run is bit-identical to a fault-free one on NumPy; a unit that
-keeps failing resolves to failed :class:`CandidateResult` records (the
-``failed()`` sentinel downstream) instead of sinking the search.
+(``task_timeout_ms``), dead-worker detection with pool rebuild, and
+bounded retry with exponential backoff (``max_retries`` /
+``backoff_ms``).  These are constructor arguments only: the environment
+picks the executor, not how it supervises.  Lost or transiently failed
+work units are re-dispatched through the same per-candidate seed
+derivation, so a recovered run is bit-identical to a fault-free one on
+NumPy; a unit that keeps failing resolves to failed
+:class:`CandidateResult` records (the ``failed()`` sentinel downstream)
+instead of sinking the search.
 """
 
 from __future__ import annotations
@@ -82,18 +84,12 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "EXECUTOR_ENV_VAR",
     "BLOCK_SIZE_ENV_VAR",
-    "MAX_RETRIES_ENV_VAR",
-    "RETRY_BACKOFF_ENV_VAR",
-    "TASK_TIMEOUT_ENV_VAR",
     "DEFAULT_CANDIDATE_BLOCK_SIZE",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_RETRY_BACKOFF_MS",
     "resolve_workers",
     "resolve_executor_kind",
     "resolve_candidate_block_size",
-    "resolve_max_retries",
-    "resolve_retry_backoff_ms",
-    "resolve_task_timeout_ms",
     "make_executor",
 ]
 
@@ -107,20 +103,15 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 #: environment variable tuning the vectorized executor's fused block size
 BLOCK_SIZE_ENV_VAR = "REPRO_CANDIDATE_BLOCK_SIZE"
 
-#: environment variable bounding re-dispatch attempts per work unit
-MAX_RETRIES_ENV_VAR = "REPRO_MAX_RETRIES"
-
-#: environment variable tuning the base retry backoff (milliseconds)
-RETRY_BACKOFF_ENV_VAR = "REPRO_RETRY_BACKOFF_MS"
-
-#: environment variable enabling a per-task timeout (milliseconds, 0 = off)
-TASK_TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT_MS"
-
 #: default bounded-retry budget per work unit before the failed() sentinel
 DEFAULT_MAX_RETRIES = 3
 
 #: default base backoff between re-dispatches (doubles per attempt)
 DEFAULT_RETRY_BACKOFF_MS = 10.0
+
+#: supervision wake interval while dispatches are in flight (consulted
+#: only when a task timeout is set)
+_HEARTBEAT_MS = 200.0
 
 #: default candidates per fused block: large enough to amortize the shared
 #: standardize/mask phase, small enough that a block's stacked trace
@@ -166,36 +157,6 @@ def resolve_candidate_block_size(block_size: Optional[int] = None) -> int:
     return env_knob(block_size, BLOCK_SIZE_ENV_VAR, int,
                     DEFAULT_CANDIDATE_BLOCK_SIZE,
                     lambda n: check_at_least(n, 1, name="candidate block size"),
-                    lenient=True)
-
-
-def resolve_max_retries(max_retries: Optional[int] = None) -> int:
-    """Resolve the bounded-retry budget per work unit (>= 0).
-
-    Explicit ``max_retries`` wins; ``None`` consults ``REPRO_MAX_RETRIES``;
-    absent/invalid both, ``DEFAULT_MAX_RETRIES`` applies.  ``0`` disables
-    retries (a lost unit fails immediately).
-    """
-    return env_knob(max_retries, MAX_RETRIES_ENV_VAR, int,
-                    DEFAULT_MAX_RETRIES,
-                    lambda n: check_at_least(n, 0, name="max_retries"),
-                    lenient=True)
-
-
-def resolve_retry_backoff_ms(backoff_ms: Optional[float] = None) -> float:
-    """Resolve the base retry backoff in milliseconds (>= 0)."""
-    return env_knob(backoff_ms, RETRY_BACKOFF_ENV_VAR, float,
-                    DEFAULT_RETRY_BACKOFF_MS,
-                    lambda v: check_at_least(v, 0, name="backoff_ms",
-                                             cast=float),
-                    lenient=True)
-
-
-def resolve_task_timeout_ms(timeout_ms: Optional[float] = None) -> float:
-    """Resolve the per-task timeout in milliseconds (0 disables it)."""
-    return env_knob(timeout_ms, TASK_TIMEOUT_ENV_VAR, float, 0.0,
-                    lambda v: check_at_least(v, 0, name="timeout_ms",
-                                             cast=float),
                     lenient=True)
 
 
@@ -546,22 +507,19 @@ class MultiprocessExecutor(CandidateExecutor):
         and the vectorized level is itself bit-identical to serial.
         ``None`` (default) maps plain per-candidate evaluation.
     max_retries:
-        Bounded retry budget per dispatch group; ``None`` resolves through
-        ``REPRO_MAX_RETRIES`` (default ``DEFAULT_MAX_RETRIES``).  A group
-        still failing after the budget resolves to failed
+        Bounded retry budget per dispatch group (``0`` disables retries).
+        A group still failing after the budget resolves to failed
         :class:`CandidateResult` records — the ``failed()`` sentinel
         downstream — instead of sinking (or hanging) the search.
     backoff_ms:
         Base pause before a re-dispatch, doubling per attempt (capped at
-        1 s); ``None`` resolves through ``REPRO_RETRY_BACKOFF_MS``.
+        1 s).
     task_timeout_ms:
-        Per-dispatch-group timeout; ``None`` resolves through
-        ``REPRO_TASK_TIMEOUT_MS``, ``0`` (the default) disables it.  An
+        Per-dispatch-group timeout; ``0`` (the default) disables it.  An
         overdue group's worker processes are terminated — wedged-worker
         recovery — and the group re-dispatches like any other lost unit.
-    heartbeat_ms:
-        Supervision wake interval while dispatches are in flight (only
-        consulted when a task timeout is set).
+        While a timeout is set, the supervision loop wakes every 200 ms
+        to read the groups' stopwatches.
 
     The context (data arrays + extractor config) is pickled once per worker
     through the pool initializer; each candidate then costs only a few
@@ -595,25 +553,23 @@ class MultiprocessExecutor(CandidateExecutor):
     def __init__(self, workers: Optional[int] = None,
                  chunksize: Optional[int] = None,
                  vectorized_block_size: Optional[int] = None,
-                 max_retries: Optional[int] = None,
-                 backoff_ms: Optional[float] = None,
-                 task_timeout_ms: Optional[float] = None,
-                 heartbeat_ms: float = 200.0):
+                 max_retries: int = DEFAULT_MAX_RETRIES,
+                 backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
+                 task_timeout_ms: float = 0.0):
         self.workers = resolve_workers(workers)
         #: live worker processes: the worker count, capped at usable cores
         self.processes = min(self.workers, len(_usable_cpus()))
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.chunksize = chunksize
-        if vectorized_block_size is not None and vectorized_block_size < 1:
-            raise ValueError(
-                f"vectorized_block_size must be >= 1, got {vectorized_block_size}"
-            )
-        self.vectorized_block_size = vectorized_block_size
-        self.max_retries = resolve_max_retries(max_retries)
-        self.backoff_ms = resolve_retry_backoff_ms(backoff_ms)
-        self.task_timeout_ms = resolve_task_timeout_ms(task_timeout_ms)
-        self.heartbeat_ms = max(float(heartbeat_ms), 1.0)
+        self.chunksize = (None if chunksize is None
+                          else check_at_least(chunksize, 1, name="chunksize"))
+        self.vectorized_block_size = (
+            None if vectorized_block_size is None
+            else check_at_least(vectorized_block_size, 1,
+                                name="vectorized_block_size"))
+        self.max_retries = check_at_least(max_retries, 0, name="max_retries")
+        self.backoff_ms = check_at_least(backoff_ms, 0, name="backoff_ms",
+                                         cast=float)
+        self.task_timeout_ms = check_at_least(
+            task_timeout_ms, 0, name="task_timeout_ms", cast=float)
         #: lifetime supervision counters, summed across submissions
         self.total_retries = 0
         self.total_redispatches = 0
@@ -743,7 +699,7 @@ class MultiprocessExecutor(CandidateExecutor):
                     break
             if not pending:
                 continue
-            beat = self.heartbeat_ms / 1e3 if timeout_s is not None else None
+            beat = _HEARTBEAT_MS / 1e3 if timeout_s is not None else None
             done, _ = wait(set(pending), timeout=beat,
                            return_when=FIRST_COMPLETED)
             if not done and timeout_s is not None:
@@ -828,7 +784,6 @@ class MultiprocessExecutor(CandidateExecutor):
 
 
 def make_executor(workers: Optional[int] = None,
-                  chunksize: Optional[int] = None,
                   backend: Optional[str] = None,
                   kind: Optional[str] = None,
                   candidate_block_size: Optional[int] = None,
@@ -859,8 +814,7 @@ def make_executor(workers: Optional[int] = None,
         return SerialExecutor()
     block = (resolve_candidate_block_size(candidate_block_size)
              if kind == "multiprocess+vectorized" else None)
-    executor = MultiprocessExecutor(n, chunksize=chunksize,
-                                    vectorized_block_size=block)
+    executor = MultiprocessExecutor(n, vectorized_block_size=block)
     if backend is not None:
         from repro.backend import resolve_backend
 

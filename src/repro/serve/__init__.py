@@ -31,8 +31,6 @@ from repro.serve.async_engine import AsyncServeEngine, AsyncServeSession
 from repro.serve.carry import CarryStore, carry_from_doc, carry_to_doc
 from repro.serve.engine import (
     DEFAULT_MAX_BATCH,
-    SERVE_MAX_BATCH_ENV,
-    SERVE_MAX_PENDING_ENV,
     SESSION_FORMAT,
     SESSION_FORMAT_VERSION,
     Backpressure,
@@ -40,8 +38,6 @@ from repro.serve.engine import (
     Overloaded,
     ServeEngine,
     TickReport,
-    resolve_max_batch,
-    resolve_max_pending,
 )
 from repro.serve.model_store import (
     MODEL_FORMAT,
@@ -60,14 +56,7 @@ from repro.serve.replay import (
     replay_async,
     spec_trace,
 )
-from repro.serve.scheduler import (
-    DEFAULT_DEADLINE_MS,
-    SERVE_DEADLINE_ENV,
-    SERVE_IDLE_TTL_ENV,
-    DeadlineScheduler,
-    resolve_deadline_ms,
-    resolve_idle_ttl_ms,
-)
+from repro.serve.scheduler import DeadlineScheduler
 from repro.serve.session import PendingChunk, StreamSession
 
 __all__ = [
@@ -91,16 +80,7 @@ __all__ = [
     "TickReport",
     "Backpressure",
     "Overloaded",
-    "SERVE_MAX_BATCH_ENV",
-    "SERVE_MAX_PENDING_ENV",
-    "SERVE_DEADLINE_ENV",
-    "SERVE_IDLE_TTL_ENV",
     "DEFAULT_MAX_BATCH",
-    "DEFAULT_DEADLINE_MS",
-    "resolve_max_batch",
-    "resolve_max_pending",
-    "resolve_deadline_ms",
-    "resolve_idle_ttl_ms",
     "TraceEvent",
     "ReplayTrace",
     "poisson_trace",

@@ -43,23 +43,21 @@ A ``max_batch=64`` engine is therefore *bit-identical* to a
 ``max_batch=1`` engine replaying the same chunks (pinned by tests); the
 knobs trade latency against throughput, never correctness.
 
-Scheduling knobs (constructor arguments, falling back to environment
-variables):
+Scheduling knobs (constructor arguments):
 
-* ``max_batch`` / ``REPRO_SERVE_MAX_BATCH`` — most sessions per fused
-  sweep (default 32).
-* ``deadline_ms`` / ``REPRO_SERVE_DEADLINE_MS`` — default per-chunk
-  deadline budget (default 0: due immediately).  Overridable per session
-  (``open_session``) and per chunk (``submit``).
+* ``max_batch`` — most sessions per fused sweep (default 32).
+* ``deadline_ms`` — default per-chunk deadline budget (default 0: due
+  immediately).  Overridable per session (``open_session``) and per chunk
+  (``submit``).
 * ``slack_margin_ms`` — fire a due bucket this early (``"auto"`` = an
   EWMA of measured sweep durations, so results *land* before deadlines
   instead of starting at them; default 0 preserves the legacy
   fire-at-deadline behavior).
-* ``idle_ttl_ms`` / ``REPRO_SERVE_IDLE_TTL_MS`` — checkpoint-and-evict
-  sessions idle longer than this (default 0: never); a submit to an
-  evicted session restores it transparently.
-* ``max_pending`` / ``REPRO_SERVE_MAX_PENDING`` — bound on queued chunks
-  per session (default 0: unbounded); a submit over the bound raises
+* ``idle_ttl_ms`` — checkpoint-and-evict sessions idle longer than this
+  (default 0: never); a submit to an evicted session restores it
+  transparently.
+* ``max_pending`` — bound on queued chunks per session (default 0:
+  unbounded); a submit over the bound raises
   :class:`Backpressure` (the async engine turns that into an awaitable
   wait).  ``max_pending_total`` bounds the engine-wide queue the same way.
 * ``sweep_retries`` — fused-sweep attempts per bucket before the engine
@@ -87,33 +85,20 @@ from repro.backend import default_backend, resolve_backend
 from repro.reservoir.modular import StreamingResult, _copy_array
 from repro.serve.carry import CarryStore, carry_from_doc
 from repro.serve.model_store import ServableModel
-from repro.serve.scheduler import (
-    DeadlineScheduler,
-    resolve_deadline_ms,
-    resolve_idle_ttl_ms,
-)
+from repro.serve.scheduler import DeadlineScheduler
 from repro.serve.session import PendingChunk, StreamSession
-from repro.utils.validation import check_at_least, check_document, env_knob
+from repro.utils.validation import check_at_least, check_document
 
 __all__ = [
-    "SERVE_MAX_BATCH_ENV",
-    "SERVE_MAX_PENDING_ENV",
     "DEFAULT_MAX_BATCH",
     "SESSION_FORMAT",
     "SESSION_FORMAT_VERSION",
-    "resolve_max_batch",
-    "resolve_max_pending",
     "Backpressure",
     "Overloaded",
     "ChunkResult",
     "TickReport",
     "ServeEngine",
 ]
-
-#: environment variable bounding sessions per fused sweep
-SERVE_MAX_BATCH_ENV = "REPRO_SERVE_MAX_BATCH"
-#: environment variable bounding queued chunks per session (0 = unbounded)
-SERVE_MAX_PENDING_ENV = "REPRO_SERVE_MAX_PENDING"
 
 DEFAULT_MAX_BATCH = 32
 
@@ -146,16 +131,15 @@ _SESSION_KEYS = {"format", "format_version", "session_id", "model_name",
                  "window", "carry"}
 
 
-def resolve_max_batch(value: Optional[int] = None) -> int:
-    """``value`` if given, else ``REPRO_SERVE_MAX_BATCH``, else 32."""
-    return env_knob(value, SERVE_MAX_BATCH_ENV, int, DEFAULT_MAX_BATCH,
-                    lambda n: check_at_least(n, 1, name="max_batch"))
+def _check_budget(deadline_ms) -> float:
+    """A per-chunk deadline budget in milliseconds: finite and >= 0.
 
-
-def resolve_max_pending(value: Optional[int] = None) -> int:
-    """``value`` if given, else ``REPRO_SERVE_MAX_PENDING``, else 0 (off)."""
-    return env_knob(value, SERVE_MAX_PENDING_ENV, int, 0,
-                    lambda n: check_at_least(n, 0, name="max_pending"))
+    A budget of 0 means "due immediately": the chunk's deadline equals its
+    arrival, every tick fires it, and it is excluded from violation
+    accounting — exactly the never-defer default.
+    """
+    return check_at_least(deadline_ms, 0, name="deadline_ms", cast=float,
+                          finite=True)
 
 
 @dataclass
@@ -281,9 +265,8 @@ class ServeEngine:
 
     Parameters
     ----------
-    max_batch, deadline_ms, slack_margin_ms, idle_ttl_ms:
-        Scheduling knobs; see the module docstring.  ``None`` defers to
-        the environment.
+    max_batch, deadline_ms, slack_margin_ms, idle_ttl_ms, max_pending:
+        Scheduling knobs; see the module docstring.
     window:
         Streaming ring width handed to ``run_streaming``.  Every submitted
         chunk must be at least this many steps long (the resumable-state
@@ -306,19 +289,19 @@ class ServeEngine:
     without waiting on compute.
     """
 
-    def __init__(self, *, max_batch: Optional[int] = None,
-                 deadline_ms: Optional[float] = None,
+    def __init__(self, *, max_batch: int = DEFAULT_MAX_BATCH,
+                 deadline_ms: float = 0.0,
                  slack_margin_ms=0.0,
-                 idle_ttl_ms: Optional[float] = None,
-                 max_pending: Optional[int] = None,
+                 idle_ttl_ms: float = 0.0,
+                 max_pending: int = 0,
                  max_pending_total: int = 0,
                  sweep_retries: int = 1,
                  shed_after_ms: Optional[float] = None,
                  window: int = 1,
                  backend: Optional[str] = None,
                  clock: Optional[Callable[[], float]] = None):
-        self.max_batch = resolve_max_batch(max_batch)
-        self.deadline_ms = resolve_deadline_ms(deadline_ms)
+        self.max_batch = check_at_least(max_batch, 1, name="max_batch")
+        self.deadline_ms = _check_budget(deadline_ms)
         if slack_margin_ms == "auto":
             self._auto_margin = True
             self._fixed_margin_s = 0.0
@@ -331,30 +314,18 @@ class ServeEngine:
                     f">= 0, got {slack_margin_ms!r}"
                 )
             self._fixed_margin_s = margin / 1e3
-        self.idle_ttl_ms = resolve_idle_ttl_ms(idle_ttl_ms)
-        self.max_pending = resolve_max_pending(max_pending)
-        self.max_pending_total = int(max_pending_total)
-        if self.max_pending_total < 0:
-            raise ValueError(
-                f"max_pending_total must be >= 0, got {max_pending_total}"
-            )
-        self.sweep_retries = int(sweep_retries)
-        if self.sweep_retries < 0:
-            raise ValueError(
-                f"sweep_retries must be >= 0, got {sweep_retries}"
-            )
-        if shed_after_ms is None:
-            self.shed_after_ms = 0.0
-        else:
-            self.shed_after_ms = float(shed_after_ms)
-            if not np.isfinite(self.shed_after_ms) or self.shed_after_ms < 0:
-                raise ValueError(
-                    f"shed_after_ms must be finite and >= 0, got "
-                    f"{shed_after_ms}"
-                )
-        self.window = int(window)
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        self.idle_ttl_ms = check_at_least(idle_ttl_ms, 0, name="idle_ttl_ms",
+                                          cast=float, finite=True)
+        self.max_pending = check_at_least(max_pending, 0, name="max_pending")
+        self.max_pending_total = check_at_least(max_pending_total, 0,
+                                                name="max_pending_total")
+        self.sweep_retries = check_at_least(sweep_retries, 0,
+                                            name="sweep_retries")
+        self.shed_after_ms = (
+            0.0 if shed_after_ms is None
+            else check_at_least(shed_after_ms, 0, name="shed_after_ms",
+                                cast=float, finite=True))
+        self.window = check_at_least(window, 1, name="window")
         self._backend_spec = backend
         self.backend = (default_backend() if backend is None
                         else resolve_backend(backend))
@@ -436,7 +407,7 @@ class ServeEngine:
             if model_name not in self._deployments:
                 raise KeyError(f"no deployed model named {model_name!r}")
             budget = (self.deadline_ms if deadline_ms is None
-                      else resolve_deadline_ms(deadline_ms))
+                      else _check_budget(deadline_ms))
             self._session_counter += 1
             session_id = f"s{self._session_counter:05d}"
             self._sessions[session_id] = StreamSession(
@@ -500,7 +471,7 @@ class ServeEngine:
                     f"session {session_id!r} already queues "
                     f"{len(sess.pending)} chunk(s) (max_pending="
                     f"{self.max_pending}); tick/drain the engine or raise "
-                    f"max_pending / {SERVE_MAX_PENDING_ENV}"
+                    f"max_pending"
                 )
             if self.max_pending_total > 0:
                 queued = sum(len(s.pending) for s in self._sessions.values())
@@ -512,7 +483,7 @@ class ServeEngine:
                         f"{self.max_pending_total})"
                     )
             budget = (sess.deadline_ms if deadline_ms is None
-                      else resolve_deadline_ms(deadline_ms))
+                      else _check_budget(deadline_ms))
             pending = sess.enqueue(chunk, self._clock(), budget)
             if len(sess.pending) == 1 and not sess.in_flight:
                 self._schedule_head(sess)

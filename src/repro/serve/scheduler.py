@@ -10,8 +10,8 @@ This module schedules by per-chunk deadlines instead:
 
 * every :class:`~repro.serve.session.PendingChunk` carries an absolute
   ``deadline`` (engine-clock seconds), resolved at submit time from the
-  per-submit override, the session default, or the engine default
-  (``REPRO_SERVE_DEADLINE_MS``);
+  per-submit override, the session default, or the engine's
+  ``deadline_ms``;
 * :class:`DeadlineScheduler` keeps one min-heap per (pipeline
   fingerprint, chunk length) bucket, ordered by ``(deadline, submit
   counter)`` — earliest deadline first, FIFO among equal deadlines (a
@@ -35,42 +35,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.utils.validation import check_at_least, env_knob
-
-__all__ = [
-    "SERVE_DEADLINE_ENV",
-    "SERVE_IDLE_TTL_ENV",
-    "DEFAULT_DEADLINE_MS",
-    "resolve_deadline_ms",
-    "resolve_idle_ttl_ms",
-    "DeadlineScheduler",
-]
-
-#: environment variable: default per-chunk deadline budget (milliseconds)
-SERVE_DEADLINE_ENV = "REPRO_SERVE_DEADLINE_MS"
-#: environment variable: idle-session eviction TTL (milliseconds, 0 = off)
-SERVE_IDLE_TTL_ENV = "REPRO_SERVE_IDLE_TTL_MS"
-
-DEFAULT_DEADLINE_MS = 0.0
-
-
-def resolve_deadline_ms(value: Optional[float] = None) -> float:
-    """``value`` if given, else ``REPRO_SERVE_DEADLINE_MS``, else 0.
-
-    A budget of 0 means "due immediately": the chunk's deadline equals its
-    arrival, every tick fires it, and it is excluded from violation
-    accounting — exactly the never-defer default.
-    """
-    return env_knob(value, SERVE_DEADLINE_ENV, float, DEFAULT_DEADLINE_MS,
-                    lambda v: check_at_least(v, 0, name="deadline_ms",
-                                             cast=float, finite=True))
-
-
-def resolve_idle_ttl_ms(value: Optional[float] = None) -> float:
-    """``value`` if given, else ``REPRO_SERVE_IDLE_TTL_MS``, else 0 (off)."""
-    return env_knob(value, SERVE_IDLE_TTL_ENV, float, 0.0,
-                    lambda v: check_at_least(v, 0, name="idle_ttl_ms",
-                                             cast=float, finite=True))
+__all__ = ["DeadlineScheduler"]
 
 
 class _Entry:

@@ -58,12 +58,24 @@ def check_probability(value: float, *, name: str) -> float:
 
 
 def check_at_least(value, lo, *, name: str, cast=int, finite: bool = False):
-    """Validate ``cast(value) >= lo``; NaN fails, and ``finite`` rejects inf."""
-    value = cast(value)
-    if not value >= lo or (finite and not np.isfinite(value)):
+    """Validate ``cast(value) >= lo``; NaN fails, and ``finite`` rejects inf.
+
+    A value ``cast`` refuses raises ``ValueError`` naming the setting too,
+    and an ``int`` cast never truncates: ``2.9`` or ``inf`` fails, while
+    ``3.0`` and the string ``"3"`` give ``3``.
+    """
+    try:
+        number = cast(value)
+        exact = cast is not int or isinstance(value, str) or number == value
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if not number >= lo or (finite and not np.isfinite(number)):
         bound = f"finite and >= {lo}" if finite else f">= {lo}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    return value
+        raise ValueError(f"{name} must be {bound}, got {number}")
+    return number
 
 
 def check_choice(value, choices, *, name: str) -> str:

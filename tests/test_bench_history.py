@@ -116,6 +116,20 @@ class TestMatrixSuiteCondense:
 
 
 class TestEntryTags:
+    @pytest.mark.parametrize("status, sha", [
+        ("", "abc1234"),
+        (" M src/repro/serve/engine.py", "abc1234-dirty"),
+    ], ids=["clean", "dirty"])
+    def test_git_sha_marks_uncommitted_changes(self, bench_history,
+                                               monkeypatch, status, sha):
+        answers = {
+            ("rev-parse", "--short", "HEAD"): "abc1234",
+            ("rev-parse", "--abbrev-ref", "HEAD"): "main",
+            ("status", "--porcelain", "--untracked-files=no"): status,
+        }
+        monkeypatch.setattr(bench_history, "_git", lambda *a: answers[a])
+        assert bench_history.build_entry({})["git_sha"] == sha
+
     def test_dtype_follows_the_backend_suffix(self, bench_history,
                                               monkeypatch):
         # the tag names the precision REPRO_BACKEND resolves to, in the

@@ -1,4 +1,5 @@
-"""Unit tests for ``tools/check_docs.py``'s CLI-flag and keyword drift checks.
+"""Unit tests for ``tools/check_docs.py``'s CLI-flag, keyword and env-name
+drift checks.
 
 The tool lives outside the installed package, so it is loaded straight
 from its file.
@@ -103,3 +104,14 @@ def test_keyword_drift_is_reported(check_docs, old, new):
     failures, _ = check_keywords(check_docs,
                                  KEYWORD_DOC.replace(old, new, 1))
     assert len(failures) == 1 and failures[0].startswith("DOC.md: ")
+
+
+def test_env_names_must_be_defined(check_docs):
+    # a variable the package reads and a gate floor a benchmark reads pass
+    text = "Run with `REPRO_WORKERS=2`; CI sets `REPRO_SPEEDUP_FLOOR=1.5`."
+    assert check_docs.check_env_mentions("DOC.md", text) == []
+    # a variable nothing under src/repro, benchmarks/ or tools/ reads fails
+    failures = check_docs.check_env_mentions(
+        "DOC.md", text + " `REPRO_NO_SUCH_KNOB=16 repro-bench serve`")
+    assert len(failures) == 1
+    assert failures[0].startswith("DOC.md: names REPRO_NO_SUCH_KNOB")

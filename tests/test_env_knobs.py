@@ -4,8 +4,11 @@ Resolution order is explicit value, then the environment variable, then
 the default.  Two env policies exist: a *strict* knob raises a
 ``ValueError`` naming the variable on a bad value, a *lenient* knob (a
 best-effort fleet-wide hint) falls back to its default.  A bad explicit
-value raises under both.
+value raises under both.  Settings that are constructor arguments only
+read no variable at all.
 """
+
+from functools import partial
 
 import pytest
 
@@ -27,29 +30,14 @@ from repro.exec import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_BACKOFF_MS,
     EXECUTOR_ENV_VAR,
-    MAX_RETRIES_ENV_VAR,
-    RETRY_BACKOFF_ENV_VAR,
-    TASK_TIMEOUT_ENV_VAR,
     WORKERS_ENV_VAR,
     BackendExecutor,
     MultiprocessExecutor,
     resolve_candidate_block_size,
     resolve_executor_kind,
-    resolve_max_retries,
-    resolve_retry_backoff_ms,
-    resolve_task_timeout_ms,
     resolve_workers,
 )
-from repro.serve import (
-    SERVE_DEADLINE_ENV,
-    SERVE_IDLE_TTL_ENV,
-    SERVE_MAX_BATCH_ENV,
-    SERVE_MAX_PENDING_ENV,
-    resolve_deadline_ms,
-    resolve_idle_ttl_ms,
-    resolve_max_batch,
-    resolve_max_pending,
-)
+from repro.serve import DEFAULT_MAX_BATCH, ServeEngine
 from repro.utils.validation import check_at_least, check_choice, env_knob
 
 ENV = "REPRO_TEST_KNOB"
@@ -109,6 +97,11 @@ class TestEnvKnob:
 
     def test_checks(self):
         assert check_at_least("3", 0, name="k") == 3
+        assert check_at_least(3.0, 0, name="k") == 3
+        # an integer setting never truncates, and inf is not an integer
+        for bad in (2.9, "2.9", float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                check_at_least(bad, 0, name="k")
         assert check_at_least("inf", 0, name="k", cast=float) == float("inf")
         with pytest.raises(ValueError, match="finite and >= 0"):
             check_at_least("inf", 0, name="k", cast=float, finite=True)
@@ -125,17 +118,9 @@ LENIENT = [
     (resolve_candidate_block_size, BLOCK_SIZE_ENV_VAR,
      DEFAULT_CANDIDATE_BLOCK_SIZE),
     (resolve_population, POPULATION_ENV_VAR, DEFAULT_POPULATION),
-    (resolve_max_retries, MAX_RETRIES_ENV_VAR, DEFAULT_MAX_RETRIES),
-    (resolve_retry_backoff_ms, RETRY_BACKOFF_ENV_VAR,
-     DEFAULT_RETRY_BACKOFF_MS),
-    (resolve_task_timeout_ms, TASK_TIMEOUT_ENV_VAR, 0.0),
 ]
 STRICT = [
     (resolve_executor_kind, EXECUTOR_ENV_VAR),
-    (resolve_max_batch, SERVE_MAX_BATCH_ENV),
-    (resolve_max_pending, SERVE_MAX_PENDING_ENV),
-    (resolve_deadline_ms, SERVE_DEADLINE_ENV),
-    (resolve_idle_ttl_ms, SERVE_IDLE_TTL_ENV),
     (resolve_filter_impl, FILTER_IMPL_ENV_VAR),
     (scan_crossover, SCAN_CROSSOVER_ENV_VAR),
     (default_backend, BACKEND_ENV_VAR),
@@ -167,10 +152,49 @@ def test_strict_knobs_name_the_variable(monkeypatch, resolve, env_var, raw):
         resolve()
 
 
-@pytest.mark.parametrize("raw", ["inf", "1e400", "2.7", "abc", "-1"])
-def test_max_retries_env_falls_back_on_any_non_integer(monkeypatch, raw):
-    # inf and 1e400 used to raise OverflowError; 2.7 was truncated to 2
-    monkeypatch.setenv(MAX_RETRIES_ENV_VAR, raw)
-    assert resolve_max_retries() == DEFAULT_MAX_RETRIES
+# variables whose settings are constructor arguments only: spelled out
+# here, because no module defines them
+RETIRED = ["REPRO_MAX_RETRIES", "REPRO_RETRY_BACKOFF_MS",
+           "REPRO_TASK_TIMEOUT_MS", "REPRO_SERVE_MAX_BATCH",
+           "REPRO_SERVE_MAX_PENDING", "REPRO_SERVE_DEADLINE_MS",
+           "REPRO_SERVE_IDLE_TTL_MS"]
+
+
+@pytest.mark.parametrize("env_var", RETIRED)
+def test_retired_variables_are_ignored(monkeypatch, env_var):
+    monkeypatch.setenv(env_var, "7")
     with MultiprocessExecutor(1) as executor:
-        assert executor.max_retries == DEFAULT_MAX_RETRIES
+        assert (executor.max_retries, executor.backoff_ms,
+                executor.task_timeout_ms) == (
+            DEFAULT_MAX_RETRIES, DEFAULT_RETRY_BACKOFF_MS, 0.0)
+    engine = ServeEngine()
+    assert (engine.max_batch, engine.max_pending, engine.deadline_ms,
+            engine.idle_ttl_ms) == (DEFAULT_MAX_BATCH, 0, 0.0, 0.0)
+
+
+# the same seven settings, each still checked as an explicit argument
+SETTINGS = [
+    (partial(MultiprocessExecutor, 1), "max_retries"),
+    (partial(MultiprocessExecutor, 1), "backoff_ms"),
+    (partial(MultiprocessExecutor, 1), "task_timeout_ms"),
+    (ServeEngine, "max_batch"),
+    (ServeEngine, "max_pending"),
+    (ServeEngine, "deadline_ms"),
+    (ServeEngine, "idle_ttl_ms"),
+]
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+@pytest.mark.parametrize("make, setting", SETTINGS,
+                         ids=[row[1] for row in SETTINGS])
+def test_retired_settings_name_themselves(make, setting, raw):
+    with pytest.raises(ValueError, match=setting):
+        make(**{setting: raw})
+
+
+@pytest.mark.parametrize("raw", [float("inf"), "1e400", 2.7, "abc", -1],
+                         ids=["inf", "1e400", "2.7", "abc", "-1"])
+def test_max_retries_rejects_any_non_integer(raw):
+    # inf used to raise OverflowError, and 2.7 was truncated to 2
+    with pytest.raises(ValueError, match="max_retries"):
+        MultiprocessExecutor(1, max_retries=raw)

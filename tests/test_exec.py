@@ -181,6 +181,17 @@ class TestMultiprocessExecutor:
         with pytest.raises(ValueError):
             MultiprocessExecutor(2, chunksize=0)
 
+    @pytest.mark.parametrize("setting, value, bad", [
+        ("max_retries", 0, 1.5),
+        ("backoff_ms", 2.5, -1.0),
+        ("task_timeout_ms", 50.0, float("nan")),
+    ])
+    def test_supervision_settings(self, setting, value, bad):
+        with MultiprocessExecutor(1, **{setting: value}) as executor:
+            assert getattr(executor, setting) == value
+        with pytest.raises(ValueError, match=setting):
+            MultiprocessExecutor(1, **{setting: bad})
+
     def test_pool_reused_for_same_context(self, setup):
         data, ext = setup
         context = _context(data, ext)

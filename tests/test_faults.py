@@ -367,13 +367,12 @@ class TestServeChaos:
         with pytest.raises(Backpressure, match="max_pending_total"):
             engine.submit(s1, np.zeros((16, 2)))
 
-    def test_max_pending_env_knob(self, served_model, monkeypatch):
-        from repro.serve import SERVE_MAX_PENDING_ENV
-        monkeypatch.setenv(SERVE_MAX_PENDING_ENV, "3")
-        assert ServeEngine().max_pending == 3
-        monkeypatch.setenv(SERVE_MAX_PENDING_ENV, "lots")
-        with pytest.raises(ValueError, match=SERVE_MAX_PENDING_ENV):
-            ServeEngine()
+    def test_max_pending_setting(self):
+        assert ServeEngine().max_pending == 0
+        assert ServeEngine(max_pending=3).max_pending == 3
+        for bad in (-1, 2.5, "lots"):
+            with pytest.raises(ValueError, match="max_pending"):
+                ServeEngine(max_pending=bad)
 
     def test_virtual_delay_tick_takes_no_real_time(self, served_model):
         import time as _time

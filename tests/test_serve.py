@@ -17,18 +17,13 @@ from repro.data.registry import GeneratorSpec, generate, make_spec
 from repro.readout.ridge import RidgeModel, fit_ridge
 from repro.serve import (
     DEFAULT_MAX_BATCH,
-    SERVE_DEADLINE_ENV,
-    SERVE_IDLE_TTL_ENV,
-    SERVE_MAX_BATCH_ENV,
     DeadlineScheduler,
     ServableModel,
     ServeEngine,
     load_model,
     poisson_trace,
     replay,
-    resolve_deadline_ms,
     spec_trace,
-    resolve_max_batch,
     save_model,
 )
 
@@ -266,18 +261,12 @@ class TestEngineScheduling:
         assert report.occupancy == pytest.approx(0.5)
         assert engine.stats()["mean_occupancy"] == pytest.approx(0.5)
 
-    def test_env_knob_resolution(self, monkeypatch):
-        assert resolve_max_batch() == DEFAULT_MAX_BATCH
-        monkeypatch.setenv(SERVE_MAX_BATCH_ENV, "7")
-        assert resolve_max_batch() == 7
-        engine = ServeEngine()
-        assert engine.max_batch == 7
-        assert resolve_max_batch(3) == 3  # explicit beats env
-        monkeypatch.setenv(SERVE_MAX_BATCH_ENV, "zero")
-        with pytest.raises(ValueError, match=SERVE_MAX_BATCH_ENV):
-            resolve_max_batch()
-        with pytest.raises(ValueError):
-            resolve_max_batch(0)
+    def test_max_batch_setting(self):
+        assert ServeEngine().max_batch == DEFAULT_MAX_BATCH
+        assert ServeEngine(max_batch=7).max_batch == 7
+        for bad in (0, 2.9, float("inf")):
+            with pytest.raises(ValueError, match="max_batch"):
+                ServeEngine(max_batch=bad)
 
     def test_threaded_submit_while_ticking(self, trained):
         # submits racing ticks from another thread neither crash nor lose
@@ -697,17 +686,20 @@ class TestDeadlineEngine:
         stats = engine.stats()
         assert stats["violations"] == 0 and stats["deadline_chunks"] == 0
 
-    def test_deadline_env_and_legacy_alias(self, trained, monkeypatch):
-        monkeypatch.setenv(SERVE_DEADLINE_ENV, "25")
-        engine = ServeEngine()
+    def test_deadline_setting(self, trained):
+        assert ServeEngine().deadline_ms == 0.0
+        engine = ServeEngine(deadline_ms=25.0)
         assert engine.deadline_ms == 25.0
-        # explicit deadline beats the env
-        assert ServeEngine(deadline_ms=5.0).deadline_ms == 5.0
-        with pytest.raises(ValueError, match="deadline_ms"):
-            resolve_deadline_ms(-1.0)
-        monkeypatch.setenv(SERVE_DEADLINE_ENV, "never")
-        with pytest.raises(ValueError, match=SERVE_DEADLINE_ENV):
-            resolve_deadline_ms()
+        engine.deploy(_model(trained))
+        for bad in (-1.0, float("inf"), "never"):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                ServeEngine(deadline_ms=bad)
+            # the per-session and per-submit budgets take the same check
+            with pytest.raises(ValueError, match="deadline_ms"):
+                engine.open_session("m0", deadline_ms=bad)
+            sid = engine.open_session("m0")
+            with pytest.raises(ValueError, match="deadline_ms"):
+                engine.submit(sid, np.zeros((4, 2)), deadline_ms=bad)
 
     def test_slack_margin_validation(self, trained):
         engine = ServeEngine(slack_margin_ms="auto")
@@ -833,12 +825,12 @@ class TestCheckpointRestore:
         assert resumed.features.tobytes() == straight.features.tobytes()
         assert resumed.seq == straight.seq == 1
 
-    def test_idle_ttl_env_knob(self, monkeypatch):
-        monkeypatch.setenv(SERVE_IDLE_TTL_ENV, "250")
-        assert ServeEngine().idle_ttl_ms == 250.0
-        monkeypatch.setenv(SERVE_IDLE_TTL_ENV, "forever")
-        with pytest.raises(ValueError, match=SERVE_IDLE_TTL_ENV):
-            ServeEngine()
+    def test_idle_ttl_setting(self):
+        assert ServeEngine().idle_ttl_ms == 0.0
+        assert ServeEngine(idle_ttl_ms=250.0).idle_ttl_ms == 250.0
+        for bad in (-1.0, float("inf"), "forever"):
+            with pytest.raises(ValueError, match="idle_ttl_ms"):
+                ServeEngine(idle_ttl_ms=bad)
 
     def test_close_discards_eviction_checkpoint(self, trained):
         t = [0.0]

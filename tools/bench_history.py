@@ -4,8 +4,9 @@
 Runs the pytest-benchmark suite (``benchmarks/``), condenses each
 benchmark into its min/mean timing plus the speedup ratios the suite
 stores in ``extra_info``, tags the entry with machine / backend / dtype /
-git metadata, and appends it to the committed ``BENCH_history.json`` at
-the repo root — so the repo carries its own performance trajectory and a
+git metadata (``git_sha`` ends in ``-dirty`` when tracked files differ
+from that commit), and appends it to the committed ``BENCH_history.json``
+at the repo root — so the repo carries its own performance trajectory and a
 regression shows up as a diff, not as a vanished artifact.
 
 Usage::
@@ -299,10 +300,14 @@ def condense(report: dict) -> dict:
 
 
 def build_entry(benchmarks: dict, suite: str = "training") -> dict:
+    sha = _git("rev-parse", "--short", "HEAD") or "unknown"
+    # a tracked change means the run measured a tree no commit holds yet
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
     return {
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "git_sha": _git("rev-parse", "--short", "HEAD") or "unknown",
+        "git_sha": sha,
         "git_branch": _git("rev-parse", "--abbrev-ref", "HEAD") or "unknown",
         "suite": suite,
         "machine": machine_fingerprint(),

@@ -14,7 +14,10 @@ Five checks, all cheap enough to gate CI (the ``docs`` job runs this):
 3. **Env-var drift.**  When README.md is checked, the ``REPRO_*`` names it
    mentions must equal the ``"REPRO_*"`` string literals under
    ``src/repro``, in both directions: every variable the package reads is
-   documented, and no documented variable is stale.
+   documented, and no documented variable is stale.  EXPERIMENTS.md and
+   docs/ARCHITECTURE.md may name only variables that some string literal
+   under ``src/repro``, ``benchmarks/`` or ``tools/`` defines (the
+   benchmark gates' floors live in the latter two).
 4. **CLI-flag drift.**  In README.md, EXPERIMENTS.md and
    docs/ARCHITECTURE.md, every ``repro-bench <subcommand> ... --flag`` in
    code (a fenced line, an inline code span, or the later code spans of
@@ -70,6 +73,9 @@ ENV_NAME_RE = re.compile(r"REPRO_[A-Z0-9_]+")
 ENV_LITERAL_RE = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
 CLI = "repro-bench"
 DRIFT_FILES = ("README.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md")
+# the files whose REPRO_* names must be defined somewhere, and where
+ENV_MENTION_FILES = ("EXPERIMENTS.md", "docs/ARCHITECTURE.md")
+ENV_SOURCES = ("src/repro", "benchmarks", "tools")
 INLINE_CODE_RE = re.compile(r"(`+)(.+?)(?<!`)\1(?!`)", re.DOTALL)
 SUBCOMMAND_RE = re.compile(r"[a-z][a-z0-9-]*")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
@@ -99,17 +105,30 @@ def check_links(path: Path, text: str) -> list:
     return failures
 
 
+def env_literals(*dirs: str) -> set:
+    """The ``"REPRO_*"`` string literals of the ``.py`` files under ``dirs``."""
+    return {name for d in dirs for path in (REPO_ROOT / d).rglob("*.py")
+            for name in ENV_LITERAL_RE.findall(
+                path.read_text(encoding="utf-8"))}
+
+
 def check_env_names(readme_text: str) -> list:
     documented = set(ENV_NAME_RE.findall(readme_text))
-    defined = set()
-    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
-        defined.update(ENV_LITERAL_RE.findall(path.read_text(encoding="utf-8")))
+    defined = env_literals("src/repro")
     return (
         [f"README.md: documents {name}, which no src/repro literal defines"
          for name in sorted(documented - defined)]
         + [f"README.md: does not document {name}, defined in src/repro"
            for name in sorted(defined - documented)]
     )
+
+
+def check_env_mentions(name: str, text: str) -> list:
+    """A ``REPRO_*`` name in ``text`` that no literal in
+    :data:`ENV_SOURCES` defines is a variable nothing reads."""
+    stale = set(ENV_NAME_RE.findall(text)) - env_literals(*ENV_SOURCES)
+    return [f"{name}: names {env}, which no literal under "
+            f"{', '.join(ENV_SOURCES)} defines" for env in sorted(stale)]
 
 
 def cli_options() -> dict:
@@ -355,6 +374,8 @@ def main(argv=None) -> int:
         failures.extend(check_links(path, text))
         if name == "README.md":
             failures.extend(check_env_names(text))
+        if name in ENV_MENTION_FILES:
+            failures.extend(check_env_mentions(name, text))
         if name in DRIFT_FILES:
             failures.extend(check_cli_flags(name, text, cli_options()))
             drift, n_calls = check_keywords(name, text, exported)
